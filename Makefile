@@ -12,7 +12,7 @@ test:
 
 # digest-analyzer (stdlib-only, always available) + ruff when installed.
 # See docs/DEVELOPMENT.md for the DGL rule catalog (per-file DGL001-008,
-# cross-module DGL009-013) and the baseline/pragma policy.
+# cross-module DGL009-015) and the baseline/pragma policy.
 lint:
 	$(PYTHON) -m tools.digest_analyzer
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \

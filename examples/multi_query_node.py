@@ -2,9 +2,10 @@
 
 The paper's architecture gives every peer its own Digest instance serving
 "the continuous queries received from the local user" (Section III).
-:class:`repro.core.node.DigestNode` runs many queries over one shared
-sampling operator, and — because uniform tuple samples are query-agnostic
-— queries evaluated at the same occasion *reuse* each other's samples.
+:class:`repro.core.session.DigestSession` is that instance: it runs many
+queries over one shared sample pool, and — because uniform tuple samples
+are query-agnostic — queries evaluated at the same occasion *reuse* each
+other's samples, drawn in one coalesced walk batch.
 
 This example registers four queries with different shapes over one
 workload and reports how much the sharing saved.
@@ -14,7 +15,7 @@ Run:  python examples/multi_query_node.py
 
 import numpy as np
 
-from repro import DigestNode, EngineConfig, Precision
+from repro import DigestSession, EngineConfig, Precision
 from repro.core.query import ContinuousQuery, parse_query
 from repro.datasets.temperature import TemperatureConfig, TemperatureDataset
 
@@ -28,12 +29,11 @@ def main() -> None:
         f"{instance.database.n_tuples} tuples, {steps} steps"
     )
 
-    node = DigestNode(
+    session = DigestSession(
         instance.graph,
         instance.database,
         origin=0,
         rng=np.random.default_rng(13),
-        share_samples=True,
     )
 
     queries = {
@@ -59,7 +59,7 @@ def main() -> None:
         ),
     }
     handles = {
-        name: node.register(
+        name: session.add_query(
             ContinuousQuery(parse_query(text), precision, duration=steps),
             config,
         )
@@ -68,7 +68,7 @@ def main() -> None:
 
     for t in range(steps):
         instance.step(t)
-        executed = node.step(t)
+        executed = session.step(t)
         if t % 20 == 0 and executed:
             summary = ", ".join(
                 f"{name}={executed[qid].aggregate:,.1f}"
@@ -79,15 +79,15 @@ def main() -> None:
 
     print("\nper-query cost:")
     for name, qid in handles.items():
-        metrics = node.engine(qid).metrics
+        metrics = session.runtime(qid).metrics
         print(
             f"  {name:16s} {metrics.snapshot_queries:3d} snapshots, "
             f"{metrics.samples_total:5d} samples"
         )
     print(
         f"\nshared-occasion sampling saved "
-        f"{node.samples_saved_by_sharing()} tuple draws "
-        f"({node.ledger.total} total messages)"
+        f"{session.pool.pool_hits} tuple draws "
+        f"({session.ledger.total} total messages)"
     )
 
 

@@ -45,7 +45,6 @@ from repro.baselines import FilterConfig, OlstonFilterBaseline, PushAllBaseline
 from repro.core import (
     ContinuousQuery,
     DigestEngine,
-    DigestNode,
     DigestSession,
     EngineConfig,
     IndependentEvaluator,
@@ -96,7 +95,6 @@ __all__ = [
     "ContinuousQuery",
     "DigestEngine",
     "DigestError",
-    "DigestNode",
     "DigestSession",
     "EngineConfig",
     "Expression",

@@ -29,7 +29,6 @@ from repro.core.estimators import (
 from repro.core.extrapolation import TaylorExtrapolator
 from repro.core.forward import RevisedEstimate, revise_previous
 from repro.core.independent import IndependentEvaluator
-from repro.core.node import DigestNode, SharedSampleSource
 from repro.core.query import ContinuousQuery, Precision, Query, parse_query
 from repro.core.repeated import RepeatedEvaluator, optimal_partition
 from repro.core.result import NotificationFilter, RunningResult, UpdateRecord
@@ -47,7 +46,6 @@ __all__ = [
     "ContinuousQuery",
     "ContinuousScheduler",
     "DigestEngine",
-    "DigestNode",
     "DigestSession",
     "EngineConfig",
     "ExtrapolationScheduler",
@@ -61,7 +59,6 @@ __all__ = [
     "RepeatedEvaluator",
     "RevisedEstimate",
     "RunningResult",
-    "SharedSampleSource",
     "TaylorExtrapolator",
     "ThresholdEvent",
     "ThresholdMonitor",

@@ -41,7 +41,7 @@ from repro.db.relation import P2PDatabase
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.obs.tracer import SinkTracer
-from repro.sampling.operator import SamplerConfig, SampleSource
+from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
 from repro.sim.metrics import RunMetrics
 
@@ -61,15 +61,9 @@ class DigestEngine:
         ledger: MessageLedger | None = None,
         sampler_config: SamplerConfig | None = None,
         config: EngineConfig | None = None,
-        operator: SampleSource | None = None,
         tracer: SinkTracer | None = None,
     ) -> None:
-        """``operator`` lets several engines share one sampling substrate
-        (continued-walk pool, spectral cache, per-occasion sample reuse) —
-        see :class:`repro.core.node.DigestNode`. When given, ``ledger``
-        should be the ledger that operator records on.
-
-        ``tracer`` must be sink-capable (the engine's counters are
+        """``tracer`` must be sink-capable (the engine's counters are
         *derived* from the span stream, not hand-booked): a
         :class:`~repro.obs.tracer.RunMetricsSink` feeding :attr:`metrics`
         is always attached, whether the tracer was passed in or the
@@ -83,10 +77,7 @@ class DigestEngine:
             sampler_config=sampler_config,
             tracer=tracer,
         )
-        self._injected_operator = operator
-        self._qid = self._session.add_query(
-            continuous_query, config=config, operator=operator
-        )
+        self._qid = self._session.add_query(continuous_query, config=config)
         self._runtime = self._session.runtime(self._qid)
         self.ledger = self._session.ledger
         self.tracer = self._session.tracer
@@ -100,10 +91,8 @@ class DigestEngine:
         return self._runtime.result
 
     @property
-    def operator(self) -> SampleSource:
-        """The sampling substrate the query draws from (injected or owned)."""
-        if self._injected_operator is not None:
-            return self._injected_operator
+    def operator(self) -> SamplingOperator:
+        """The sampling operator owned by the session's pool."""
         return self._session.pool.operator
 
     @property

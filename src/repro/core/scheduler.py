@@ -13,7 +13,8 @@ Two policies from the paper's evaluation:
 Walk batch coalescing moved to the protocol layer
 (:mod:`repro.protocol.batching`) — a batch is a property of the walk
 lifecycle, not of any single query's scheduling policy. The types are
-re-exported here for compatibility.
+re-exported here because the benchmark harness under ``perfbench/``
+imports them by this path.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Protocol
 
 from repro.core.extrapolation import TaylorExtrapolator
 from repro.errors import QueryError
-from repro.protocol.batching import (  # noqa: F401 - compat re-export
+from repro.protocol.batching import (  # noqa: F401 - perfbench/ imports these
     WalkBatchPlan,
     WalkDemand,
     coalesce_demands,

@@ -62,8 +62,8 @@ from repro.obs.audit import META_PROMISES, AuditVerdict, GuaranteeAuditor
 from repro.obs.live import META_FINISHED_AT, LivePipeline, WindowConfig
 from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SNAPSHOT_QUERY, SPAN_WALK
 from repro.obs.tracer import RunMetricsSink, SinkTracer, Span, TraceEvent
-from repro.sampling.operator import SamplerConfig, SampleSource
-from repro.sampling.pool import PoolConfig, SamplePool
+from repro.sampling.operator import SamplerConfig
+from repro.sampling.pool import PoolConfig, PoolLease, SamplePool
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
 from repro.sim.metrics import RunMetrics
 
@@ -194,7 +194,7 @@ class QueryRuntime:
         config: EngineConfig,
         evaluator: IndependentEvaluator | RepeatedEvaluator,
         scheduler: SnapshotScheduler,
-        source: SampleSource,
+        source: PoolLease,
     ) -> None:
         self.query_id = query_id
         self.continuous_query = continuous_query
@@ -316,14 +316,11 @@ class DigestSession:
         continuous_query: ContinuousQuery,
         config: EngineConfig | None = None,
         query_id: str | None = None,
-        operator: SampleSource | None = None,
     ) -> str:
         """Register a continuous query; returns its query id.
 
         The query's evaluator draws through a pool lease keyed by the
-        query id, unless ``operator`` injects an explicit substrate (the
-        single-query facade uses this to honor its historical ``operator=``
-        argument; such queries bypass the pool entirely).
+        query id.
         """
         database = self._database
         database.schema.validate_expression(continuous_query.query.expression)
@@ -340,7 +337,7 @@ class DigestSession:
             )
         self._next_auto_id += 1
         resolved = config if config is not None else EngineConfig()
-        source = operator if operator is not None else self.pool.lease(query_id)
+        source = self.pool.lease(query_id)
 
         population_provider = None
         if not resolved.oracle_population:
@@ -497,9 +494,7 @@ class DigestSession:
     def _prefetch_for(self, due: list[QueryRuntime]) -> None:
         """Draw the coalesced walk batch covering the due queries' demands.
 
-        Only queries leasing from the pool participate (an injected
-        operator bypasses the pool, so prefetching for it would strand
-        samples). Demands are forecasts — a low forecast is topped up by
+        Demands are forecasts — a low forecast is topped up by
         the evaluator itself, a high one leaves pooled samples other
         queries may still consume within the epoch.
         """
@@ -512,8 +507,6 @@ class DigestSession:
                 ),
             )
             for runtime in due
-            if runtime.source is not None
-            and getattr(runtime.source, "pool", None) is self.pool
         ]
         plan = coalesce_demands(demands)
         if plan.n_walks == 0 or len(plan.demands) < 2:

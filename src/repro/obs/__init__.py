@@ -17,11 +17,11 @@ retry or extrapolation decision produced it. This package is that layer:
 * :mod:`repro.obs.export` — portable JSONL trace export/import.
 * :mod:`repro.obs.profile` — wall-clock section timers keyed to
   sim-time span names (the one sanctioned wall-clock reader; simulation
-  code itself stays wall-clock-free per digest-lint DGL002).
+  code itself stays wall-clock-free per digest-analyzer DGL002).
 * :mod:`repro.obs.analysis` — post-hoc trace analysis: message-cost
   attribution, walk-latency histograms, fault/degradation timelines,
   counter reconstruction and the trace-vs-live consistency check.
-* :mod:`repro.obs.console` — the single stdout sink (digest-lint DGL007
+* :mod:`repro.obs.console` — the single stdout sink (digest-analyzer DGL007
   bans bare ``print()`` inside ``src/repro``).
 * :mod:`repro.obs.live` — bounded-memory *streaming* analytics: a
   :class:`TraceSink` maintaining tumbling/sliding windows over the span

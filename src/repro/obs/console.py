@@ -1,6 +1,6 @@
 """The single sanctioned stdout sink for ``src/repro``.
 
-digest-lint DGL007 bans bare ``print()`` inside the package so that
+digest-analyzer DGL007 bans bare ``print()`` inside the package so that
 simulation and library code cannot quietly grow ad-hoc console output;
 experiments and the CLI report through :func:`emit` instead. Keeping one
 chokepoint makes output redirection (and future ``--quiet``/log-level

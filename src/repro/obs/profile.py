@@ -1,7 +1,7 @@
 """Wall-clock section profiling for finding hot paths.
 
 This is the one module in the instrumented stack allowed to read the
-wall clock: simulation logic itself must stay wall-clock-free (digest-lint
+wall clock: simulation logic itself must stay wall-clock-free (digest-analyzer
 DGL002), but *how long the host spends computing* a sim-time span is
 exactly what a profiler has to measure. Sections are keyed by name so a
 section opened inside a sim-time span (e.g. ``spectral_recompute`` inside

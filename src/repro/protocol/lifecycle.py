@@ -47,7 +47,7 @@ attempt gets a fresh :class:`~repro.protocol.messages.TraceContext`
 (minted through the one sanctioned helper,
 :func:`~repro.protocol.messages.mint_context`) that travels inside every
 message the attempt sends. Downstream layers forward it unchanged —
-statically enforced by digest-lint DGL015 — so hop-level spans recorded
+statically enforced by digest-analyzer DGL015 — so hop-level spans recorded
 mid-overlay join back to their walk without origin-side inference.
 """
 

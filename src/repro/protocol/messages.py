@@ -46,7 +46,7 @@ def mint_context(trace_id: int, span_id: int, attempt: int) -> TraceContext:
     at every retry. Everything downstream — executors, transports, the
     future asyncio backend — forwards the incoming message's ``ctx``
     unchanged. Hand-built context dicts and out-of-band
-    ``TraceContext(...)`` calls are flagged statically (digest-lint
+    ``TraceContext(...)`` calls are flagged statically (digest-analyzer
     DGL015).
     """
     return TraceContext(trace_id=trace_id, span_id=span_id, attempt=attempt)

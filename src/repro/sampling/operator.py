@@ -111,10 +111,9 @@ class TupleSample:
 class SampleSource(Protocol):
     """The slice of the sampling substrate evaluators consume.
 
-    Implemented by :class:`SamplingOperator` itself, by
+    Implemented by :class:`SamplingOperator` itself and by
     :class:`~repro.sampling.pool.PoolLease` (a query's handle on the
-    shared :class:`~repro.sampling.pool.SamplePool`), and by
-    :class:`~repro.core.node.SharedSampleSource` — anything that can
+    shared :class:`~repro.sampling.pool.SamplePool`) — anything that can
     deliver uniform tuple samples and weighted node samples.
     """
 

@@ -17,7 +17,7 @@ each query's marginal ``(epsilon, p)`` contract is untouched.
 :class:`SamplePool` implements that contract:
 
 * it **owns** the :class:`~repro.sampling.operator.SamplingOperator`
-  (digest-lint DGL008 forbids constructing one anywhere else outside
+  (digest-analyzer DGL008 forbids constructing one anywhere else outside
   :mod:`repro.sampling`) and is the only way queries reach it;
 * every pooled sample carries a **freshness epoch** (the simulated time it
   was drawn at) and a monotonically increasing **serial**;
@@ -96,8 +96,7 @@ class SamplePool:
     """Shared tuple-sample cache between queries and the sampling operator.
 
     Parameters mirror :class:`~repro.sampling.operator.SamplingOperator`
-    (the pool constructs and owns the operator); use :meth:`wrapping` to
-    build a pool around an existing operator instead.
+    (the pool constructs and owns the operator).
     """
 
     def __init__(
@@ -109,30 +108,18 @@ class SamplePool:
         faults: FaultPlan | None = None,
         tracer: Tracer | None = None,
         config: PoolConfig | None = None,
-        _operator: SamplingOperator | None = None,
         partitions: PartitionPlan | None = None,
     ) -> None:
-        tracer = tracer if tracer is not None else NULL_TRACER
-        if _operator is None:
-            _operator = SamplingOperator(
-                graph,
-                rng,
-                ledger,
-                sampler_config,
-                faults=faults,
-                tracer=tracer,
-                partitions=partitions,
-            )
-        self._init_state(_operator, tracer, config)
-
-    def _init_state(
-        self,
-        operator: SamplingOperator,
-        tracer: Tracer,
-        config: PoolConfig | None,
-    ) -> None:
-        self._tracer = tracer
-        self._operator = operator
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._operator = SamplingOperator(
+            graph,
+            rng,
+            ledger,
+            sampler_config,
+            faults=faults,
+            tracer=self._tracer,
+            partitions=partitions,
+        )
         self._config = config if config is not None else PoolConfig()
         self._epoch: int = NO_TIME
         self._samples: list[PooledSample] = []
@@ -140,20 +127,6 @@ class SamplePool:
         self._next_serial = 0
         self.pool_hits = 0
         self.pool_misses = 0
-
-    @classmethod
-    def wrapping(
-        cls,
-        operator: SamplingOperator,
-        tracer: Tracer | None = None,
-        config: PoolConfig | None = None,
-    ) -> "SamplePool":
-        """A pool around an existing operator (tests, custom substrates)."""
-        self = cls.__new__(cls)
-        self._init_state(
-            operator, tracer if tracer is not None else NULL_TRACER, config
-        )
-        return self
 
     @property
     def operator(self) -> SamplingOperator:
@@ -199,13 +172,6 @@ class SamplePool:
         self._epoch = time
         horizon = time - self._config.max_age
         self._samples = [s for s in self._samples if s.epoch >= horizon]
-
-    def reset(self) -> None:
-        """Drop all pooled samples, cursors, and hit/miss counters."""
-        self._samples = []
-        self._cursors = {}
-        self.pool_hits = 0
-        self.pool_misses = 0
 
     def invalidate_scope(self, time: int, reason: str) -> int:
         """Evict *every* pooled sample after a reachability change.

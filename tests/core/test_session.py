@@ -129,22 +129,30 @@ class TestSharedSampling:
         """Uniform tuple samples are query-agnostic: AVG and SUM share."""
         graph, database = _world(seed=7)
         session = DigestSession(graph, database, 0, np.random.default_rng(8))
-        session.add_query(_query(duration=3), _ALL_INDEP)
-        session.add_query(
+        q_avg = session.add_query(_query(duration=3), _ALL_INDEP)
+        q_sum = session.add_query(
             _query("SELECT SUM(mem) FROM R", epsilon=400.0, duration=3),
             _ALL_INDEP,
         )
+        truth = float(database.exact_values(Expression("mem")).mean())
         for t in range(3):
-            session.step(t)
+            executed = session.step(t)
+            assert set(executed) == {q_avg, q_sum}
+            assert abs(executed[q_avg].aggregate - truth) < 5.0
+            assert (
+                abs(executed[q_sum].aggregate - truth * database.n_tuples)
+                < 2000
+            )
         assert session.pool.pool_hits > 0
 
     def test_single_query_session_never_coalesces(self):
         graph, database = _world(seed=2)
         session = DigestSession(graph, database, 0, np.random.default_rng(3))
-        session.add_query(_query(duration=5), _ALL_INDEP)
+        qid = session.add_query(_query(duration=5), _ALL_INDEP)
         for t in range(5):
             session.step(t)
         assert session.batches_coalesced == 0
+        assert len(session.runtime(qid).result) == 5
 
     def test_notifications_are_per_query(self):
         graph, database = _world(seed=9)

@@ -57,6 +57,7 @@ class TestAcquire:
         pool.begin_epoch(0)
         served = pool.acquire(database, 12, origin=0, consumer="q0")
         assert [s.tuple_id for s in served] == [s.tuple_id for s in direct]
+        assert pool.operator.samples_drawn == 12
 
     def test_second_consumer_served_from_pool(self):
         graph, database = _world()
@@ -226,31 +227,15 @@ class TestLease:
         assert lease_a.pool is pool
 
     def test_wrapping_reuses_operator(self):
-        graph, database = _world()
-        operator = SamplingOperator(
-            graph,
-            np.random.default_rng(0),
-            config=SamplerConfig(walk_length=20, continued_walks=False),
-        )
-        pool = SamplePool.wrapping(operator)
-        assert pool.operator is operator
-        pool.begin_epoch(0)
-        pool.acquire(database, 4, origin=0, consumer="q0")
-        assert operator.samples_drawn == 4
-
-
-class TestReset:
-    def test_reset_clears_state(self):
+        """The pool wraps one operator; every lease draws through it."""
         graph, database = _world()
         pool = _pool(graph)
+        operator = pool.operator
         pool.begin_epoch(0)
-        pool.acquire(database, 5, origin=0, consumer="q0")
-        pool.reset()
-        assert pool.n_pooled == 0
-        assert pool.pool_hits == 0
-        assert pool.pool_misses == 0
-        served = pool.acquire(database, 5, origin=0, consumer="q0")
-        assert len(served) == 5
+        pool.lease("q0").sample_tuples(database, 4, origin=0)
+        pool.lease("q1").sample_tuples(database, 6, origin=0)
+        assert pool.operator is operator
+        assert operator.samples_drawn == 6
 
 
 class TestInvalidateScope:

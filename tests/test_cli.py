@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_TRACE = REPO_ROOT / "tests" / "obs" / "golden" / "v1_faulted_trace.jsonl"
 
 
 class TestExperimentCommand:
@@ -99,3 +107,24 @@ class TestTraceCommands:
             == 0
         )
         assert "replayed 5 steps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command,header",
+        [("summarize", "message attribution:"), ("critpath", "critical paths")],
+    )
+    def test_module_entry_point_analyzes_a_saved_trace(self, command, header):
+        """``python -m repro trace ...`` runs as a separate process."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        process = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", command,
+             "--input", str(GOLDEN_TRACE)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert process.returncode == 0, process.stderr
+        assert header in process.stdout

@@ -1,11 +1,12 @@
 """Tests for the cross-module digest analyzer (tools.digest_analyzer).
 
-Organization mirrors the architecture: fixture-driven tests per
-cross-module rule (DGL009-DGL015) — each seeded violation must be
+Organization mirrors the architecture: known-bad and known-good
+fixtures per per-file rule (DGL001-DGL008), then fixture-driven tests
+per cross-module rule (DGL009-DGL015) — each seeded violation must be
 caught, and for the reachability rules the same fixture is shown to be
 *invisible* to the old per-file rule it upgrades — then the pragma
 layer, the baseline, the cache, SARIF, the CLI, and the repository
-meta-test (the invariant CI enforces: zero non-baselined findings).
+meta-tests (the invariant CI enforces: zero non-baselined findings).
 """
 
 from __future__ import annotations
@@ -66,6 +67,379 @@ def run_cli(*args: str, cwd: Path = REPO_ROOT) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
     )
+
+
+# ----------------------------------------------------------------------
+# per-file rules (DGL001-DGL008): known-bad fixtures must flag, known-good
+# fixtures must pass. Every per-file rule runs, so "== [code]" also says
+# no other per-file rule fires on the fixture.
+# ----------------------------------------------------------------------
+
+LOCAL_CODES = {f"DGL00{n}" for n in range(1, 9)}
+
+
+def local_codes(source: str, path: str) -> list[str]:
+    return codes({path: source}, select=LOCAL_CODES)
+
+
+class TestUnseededRandomness:
+    PATH = "src/repro/sampling/snippet.py"
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "import numpy as np\nrng = np.random.default_rng()\n",
+            "from numpy.random import default_rng\nrng = default_rng()\n",
+            "import numpy as np\nnp.random.seed(7)\n",
+            "import numpy as np\nx = np.random.rand(3)\n",
+            "import numpy.random as npr\nx = npr.choice([1, 2])\n",
+            "import random\nx = random.random()\n",
+            "import random\nrandom.shuffle([1, 2, 3])\n",
+            "from random import randint\nx = randint(0, 9)\n",
+        ],
+    )
+    def test_flags_unseeded_and_global_rng(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == ["DGL001"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            # explicit seeds and threaded generators are the convention
+            "import numpy as np\nrng = np.random.default_rng(42)\n",
+            "import numpy as np\ndef f(seed: int) -> object:\n    return np.random.default_rng(seed)\n",
+            "from numpy.random import default_rng\nrng = default_rng(0)\n",
+            "import numpy as np\nrng = np.random.Generator(np.random.PCG64(1))\n",
+            "import random\nrng = random.Random(7)\n",
+            # method calls on a threaded generator are not module-level calls
+            "def step(rng: object) -> float:\n    return rng.normal()\n",
+        ],
+    )
+    def test_allows_explicit_state(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == []
+
+    def test_fires_anywhere_in_src(self) -> None:
+        bad = "import numpy as np\nrng = np.random.default_rng()\n"
+        assert local_codes(bad, "src/repro/experiments/snippet.py") == ["DGL001"]
+
+
+class TestWallClockInSimulation:
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "import time\nt = time.time()\n",
+            "import time\nt = time.perf_counter()\n",
+            "import time\nt = time.monotonic_ns()\n",
+            "from time import perf_counter\nt = perf_counter()\n",
+            "from datetime import datetime\nt = datetime.now()\n",
+            "import datetime\nt = datetime.datetime.utcnow()\n",
+            "import datetime\nt = datetime.date.today()\n",
+        ],
+        ids=["time", "perf", "mono", "from_perf", "now", "utcnow", "today"],
+    )
+    @pytest.mark.parametrize("scope", ["core", "sim", "sampling", "protocol"])
+    def test_flags_wall_clock(self, snippet: str, scope: str) -> None:
+        path = f"src/repro/{scope}/snippet.py"
+        assert local_codes(snippet, path) == ["DGL002"]
+
+    def test_out_of_scope_paths_are_exempt(self) -> None:
+        # experiments/ may time themselves; they are reporting, not protocol
+        snippet = "import time\nt = time.perf_counter()\n"
+        assert local_codes(snippet, "src/repro/experiments/snippet.py") == []
+
+    def test_sleep_is_not_a_clock_read(self) -> None:
+        snippet = "import time\ntime.sleep(0.1)\n"
+        assert local_codes(snippet, "src/repro/core/snippet.py") == []
+
+
+class TestLocalityReachThrough:
+    PATH = "src/repro/sampling/snippet.py"
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            # classic telepathy: reading the graph's private adjacency
+            "def walk(graph: object) -> int:\n    return graph._adjacency[0]\n",
+            # reaching into a store owned by another node
+            "def peek(store: object) -> list:\n    return store._rows\n",
+            # chained receiver: self's operator is fine, *its* cache is not
+            "class W:\n    def f(self) -> list:\n        return self._op._cache\n",
+        ],
+    )
+    def test_flags_private_reach_through(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == ["DGL003"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "class W:\n    def f(self) -> list:\n        return self._cache\n",
+            "class W:\n    @classmethod\n    def f(cls) -> dict:\n        return cls._registry\n",
+            # module-private helpers from explicit imports are intra-package
+            "from repro.sampling import mixing\ng = mixing._spectral_gap\n",
+            # dunders are protocol, not private state
+            "def f(obj: object) -> type:\n    return obj.__class__\n",
+            # the public messaging API is exactly what the rule steers to
+            "def f(ledger: object, hops: int) -> None:\n    ledger.record_sample_return(hops)\n",
+        ],
+        ids=["self", "cls", "intra_pkg", "dunder", "public_api"],
+    )
+    def test_allows_local_and_public(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == []
+
+    def test_only_sampling_and_protocol_are_in_scope(self) -> None:
+        snippet = "def walk(graph: object) -> int:\n    return graph._adjacency[0]\n"
+        assert local_codes(snippet, "src/repro/network/snippet.py") == []
+        assert local_codes(snippet, "src/repro/protocol/snippet.py") == ["DGL003"]
+
+
+class TestFloatEquality:
+    PATH = "src/repro/core/snippet.py"
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "def f(x: float) -> bool:\n    return x == 0.5\n",
+            "def f(x: float) -> bool:\n    return x != 1.5\n",
+            "def f(x: float) -> bool:\n    return 0.95 == x\n",
+            "def f(a: float, b: float) -> bool:\n    return a < b == 2.5\n",
+        ],
+    )
+    def test_flags_non_sentinel_float_equality(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == ["DGL004"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "def f(x: float) -> bool:\n    return x == 0.0\n",  # degenerate guard
+            "def f(x: float) -> bool:\n    return x == -0.0\n",
+            'def f(x: float) -> bool:\n    return x == float("inf")\n',
+            "def f(x: float) -> bool:\n    return x == 1\n",  # int comparison
+            "def f(x: float) -> bool:\n    return x < 0.5\n",  # ordering is fine
+            "import math\ndef f(x: float) -> bool:\n    return math.isclose(x, 0.5)\n",
+        ],
+    )
+    def test_allows_sentinels_and_ordering(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == []
+
+    def test_out_of_scope_paths_are_exempt(self) -> None:
+        snippet = "def f(x: float) -> bool:\n    return x == 0.5\n"
+        assert local_codes(snippet, "src/repro/db/snippet.py") == []
+
+
+class TestMissingAnnotations:
+    PATH = "src/repro/core/snippet.py"
+
+    @pytest.mark.parametrize(
+        "snippet,missing",
+        [
+            ("def f(x):\n    return x\n", "x, return"),
+            ("def f(x: int):\n    return x\n", "return"),
+            ("def f(x) -> int:\n    return x\n", "x"),
+            ("def f(*args, **kw) -> None:\n    pass\n", "*args, **kw"),
+            (
+                "class C:\n    def __init__(self, x: int):\n        self.x = x\n",
+                "return",
+            ),
+            ("class C:\n    def m(self, x) -> None:\n        pass\n", "x"),
+        ],
+    )
+    def test_flags_annotation_gaps(self, snippet: str, missing: str) -> None:
+        findings = analyze({self.PATH: snippet}, select=LOCAL_CODES).findings
+        assert [f.code for f in findings] == ["DGL005"]
+        assert findings[0].message.endswith(missing)
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "def f(x: int) -> int:\n    return x\n",
+            "def _helper(x):\n    return x\n",  # private: exempt
+            "class C:\n    def _m(self, x):\n        pass\n",
+            # closures are not public API
+            "def f() -> int:\n    def inner(x):\n        return x\n    return inner(1)\n",
+            "class C:\n    def m(self) -> None:\n        pass\n",
+        ],
+        ids=["typed", "private_fn", "private_m", "closure", "none_ret"],
+    )
+    def test_allows_typed_or_exempt(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == []
+
+    def test_only_repro_paths_are_in_scope(self) -> None:
+        snippet = "def f(x):\n    return x\n"
+        assert local_codes(snippet, "somewhere/else/snippet.py") == []
+
+
+class TestHandlerRaises:
+    PATH = "src/repro/protocol/snippet.py"
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            # a raise inside a scheduled-delivery handler aborts the run
+            """\
+            class Sampler:
+                def _handle_step(self, message: object) -> None:
+                    if message is None:
+                        raise ValueError("bad message")
+            """,
+            """\
+            class Sampler:
+                def _receive_token(self, token: object) -> None:
+                    raise RuntimeError("unreachable holder")
+            """,
+            # nested defs are delivery closures even under a benign name
+            """\
+            class Sampler:
+                def transmit(self, node: int) -> None:
+                    def deliver(time: int) -> None:
+                        raise RuntimeError("boom")
+                    self.simulation.schedule_in(1, deliver)
+            """,
+            # module-level handler functions count too
+            """\
+            def _on_timeout(state: object) -> None:
+                raise TimeoutError(state)
+            """,
+        ],
+    )
+    def test_flags_raises_in_delivery_paths(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == ["DGL006"]
+
+    def test_each_raise_is_reported_once(self) -> None:
+        # a raise belongs to its innermost function only -- a handler
+        # containing a raising closure yields one finding, not two
+        snippet = """\
+        class Sampler:
+            def _handle_return(self, message: object) -> None:
+                def forward(time: int) -> None:
+                    raise RuntimeError("next hop gone")
+                self.simulation.schedule_in(1, forward)
+        """
+        assert local_codes(snippet, self.PATH) == ["DGL006"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            # the degradation contract: record the fault and drop the message
+            """\
+            class Sampler:
+                def _handle_step(self, message: object) -> None:
+                    if message is None:
+                        self.fault_log.record(0, "message_loss")
+                        return
+            """,
+            # validation raises at the caller-facing API are legal
+            """\
+            class Sampler:
+                def start_walk(self, origin: int) -> None:
+                    if origin < 0:
+                        raise ValueError("bad origin")
+            """,
+            """\
+            class Sampler:
+                def run_walks(self, n: int) -> list:
+                    if n <= 0:
+                        raise ValueError("need at least one walk")
+                    return []
+            """,
+        ],
+    )
+    def test_allows_recording_and_api_validation(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == []
+
+    def test_only_protocol_is_in_scope(self) -> None:
+        snippet = """\
+        class Sampler:
+            def _handle_step(self, message: object) -> None:
+                raise ValueError("bad message")
+        """
+        assert local_codes(snippet, "src/repro/sampling/snippet.py") == []
+        assert local_codes(snippet, self.PATH) == ["DGL006"]
+
+
+class TestNoPrint:
+    PATH = "src/repro/experiments/snippet.py"
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            'print("hello")\n',
+            "def main() -> int:\n    print(1, 2, sep=',')\n    return 0\n",
+            'import builtins\nbuiltins.print("x")\n',
+            # file= does not excuse it: redirection goes through emit()
+            'import sys\nprint("x", file=sys.stderr)\n',
+        ],
+    )
+    def test_flags_print_calls(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == ["DGL007"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            # the sanctioned chokepoint
+            'from repro.obs.console import emit\nemit("hello")\n',
+            # a method named print on some object is not builtins.print
+            'def f(doc: object) -> None:\n    doc.print("x")\n',
+            # an explicitly imported print is a deliberate rebinding
+            "from repro.obs.console import emit as print\nprint()\n",
+            # mentioning print in a docstring is not a call
+            '"""Example::\n\n    print(engine.result)\n"""\n',
+        ],
+    )
+    def test_allows_emit_and_non_builtin_print(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == []
+
+    def test_only_repro_paths_are_in_scope(self) -> None:
+        # tools/ and benchmarks/ are harness-side; they may print
+        assert local_codes('print("x")\n', "tools/somewhere/snippet.py") == []
+        assert local_codes('print("x")\n', self.PATH) == ["DGL007"]
+
+
+class TestDirectOperatorConstruction:
+    PATH = "src/repro/core/snippet.py"
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            # the canonical offender: a private, unshareable substrate
+            "from repro.sampling.operator import SamplingOperator\n"
+            "op = SamplingOperator(g, rng)\n",
+            # package re-export and aliasing do not launder it
+            "from repro.sampling import SamplingOperator\n"
+            "op = SamplingOperator(g, rng)\n",
+            "from repro.sampling.operator import SamplingOperator as SO\n"
+            "op = SO(g, rng)\n",
+            "import repro.sampling.operator as operator\n"
+            "op = operator.SamplingOperator(g, rng)\n",
+        ],
+    )
+    def test_flags_construction_outside_sampling(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == ["DGL008"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            # the sanctioned route: the pool owns the operator
+            "from repro.sampling.pool import SamplePool\n"
+            "pool = SamplePool(g, rng)\nop = pool.operator\n",
+            # importing the type for annotations is fine; only calls flag
+            "from repro.sampling.operator import SamplingOperator\n"
+            "def f(op: SamplingOperator) -> None:\n    pass\n",
+            # a same-named class from elsewhere is not ours
+            "from somewhere.else_ import SamplingOperator\n"
+            "op = SamplingOperator()\n",
+        ],
+    )
+    def test_allows_pool_route_and_annotations(self, snippet: str) -> None:
+        assert local_codes(snippet, self.PATH) == []
+
+    def test_sampling_package_itself_is_exempt(self) -> None:
+        snippet = (
+            "from repro.sampling.operator import SamplingOperator\n"
+            "op = SamplingOperator(g, rng)\n"
+        )
+        assert local_codes(snippet, "src/repro/sampling/pool.py") == []
+        assert local_codes(snippet, "src/repro/experiments/snippet.py") == [
+            "DGL008"
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +717,7 @@ class TestTraceNameLiterals:
     def test_spans_named_literal(self) -> None:
         result = analyze(
             {
-                "tools/trace_analysis/extra.py": """\
+                "tools/reports/extra.py": """\
                 def pool_serves(trace):
                     return trace.spans_named("pool_serve")
                 """
@@ -1063,6 +1437,35 @@ class TestPragmas:
             == []
         )
 
+    def test_bare_noqa_suppresses(self) -> None:
+        """A bare ``# noqa`` silences every rule firing on its line."""
+        path = "src/repro/core/snippet.py"
+        line = "    return time.time() if x == 0.5 else 0.0"
+        source = "import time\n\ndef f(x: float) -> float:\n" + line + "{}\n"
+        assert local_codes(source.format(""), path) == ["DGL002", "DGL004"]
+        assert local_codes(source.format("  # noqa"), path) == []
+
+    def test_noqa_with_matching_code_suppresses(self) -> None:
+        source = (
+            "import numpy as np\n"
+            "rng = np.random.default_rng()  # noqa: DGL001\n"
+        )
+        assert codes({self.PATH: source}) == []
+
+    def test_noqa_with_other_code_does_not_suppress(self) -> None:
+        source = (
+            "import numpy as np\n"
+            "rng = np.random.default_rng()  # noqa: DGL002\n"
+        )
+        assert codes({self.PATH: source}, select={"DGL001"}) == ["DGL001"]
+
+    def test_noqa_code_list(self) -> None:
+        source = (
+            "import numpy as np\n"
+            "rng = np.random.default_rng()  # noqa: DGL004, DGL001\n"
+        )
+        assert codes({self.PATH: source}, select=LOCAL_CODES) == []
+
     def test_docstring_example_is_not_a_pragma(self) -> None:
         source = (
             '"""Suppress with `# dgl: disable=DGL001` on the line."""\n'
@@ -1177,6 +1580,34 @@ class TestEngine:
         assert broken[0].line == 1
         assert result.parse_failures == 1
 
+    def test_syntax_error_reports_dgl000(self) -> None:
+        """An unparseable file is reported without hiding its neighbours."""
+        result = analyze(
+            {
+                "src/repro/sampling/broken.py": "def broken(:\n",
+                "src/repro/sampling/bad.py": (
+                    "import numpy as np\nrng = np.random.default_rng()\n"
+                ),
+            },
+            select=LOCAL_CODES,
+        )
+        assert sorted((f.path, f.code) for f in result.findings) == [
+            ("src/repro/sampling/bad.py", "DGL001"),
+            ("src/repro/sampling/broken.py", "DGL000"),
+        ]
+
+    def test_missing_path_raises(self, tmp_path: Path) -> None:
+        with pytest.raises(FileNotFoundError):
+            analyze_paths([tmp_path / "nope"], repo_root=tmp_path)
+
+    def test_rule_catalog_is_complete(self) -> None:
+        assert sorted(RULE_CATALOG) == [
+            *(f"DGL{n:03d}" for n in range(16)),
+            "DGL099",
+        ]
+        for name, summary, rationale in RULE_CATALOG.values():
+            assert name and summary and rationale
+
     def test_null_bytes_are_a_finding_not_a_crash(self) -> None:
         result = analyze({"src/repro/core/binary.py": "x = 1\x00"})
         assert [
@@ -1184,6 +1615,33 @@ class TestEngine:
             for f in result.findings
             if f.path == "src/repro/core/binary.py"
         ] == ["DGL000"]
+
+    def test_select_restricts_rules(self) -> None:
+        bad_both = (
+            "import numpy as np\nimport time\n"
+            "rng = np.random.default_rng()\nt = time.time()\n"
+        )
+        path = "src/repro/core/snippet.py"
+        assert local_codes(bad_both, path) == ["DGL001", "DGL002"]
+        assert codes({path: bad_both}, select={"DGL002"}) == ["DGL002"]
+
+    def test_findings_are_sorted_and_renderable(self, tmp_path: Path) -> None:
+        scoped = tmp_path / "core"
+        scoped.mkdir()
+        bad = scoped / "bad.py"
+        bad.write_text(
+            "import time\n\n"
+            "def f(x: float) -> float:\n"
+            "    return time.time() if x == 0.5 else 0\n"
+        )
+        # tmp_path has no ``repro`` component, so DGL005 stays out of scope
+        findings = analyze_paths(
+            [tmp_path], repo_root=tmp_path, select=frozenset(LOCAL_CODES)
+        ).findings
+        assert findings == sorted(findings)
+        assert {f.code for f in findings} == {"DGL002", "DGL004"}
+        rendered = findings[0].render()
+        assert "core/bad.py" in rendered and ":DGL" not in rendered
 
     def test_cache_hits_on_second_run(self, tmp_path: Path) -> None:
         (tmp_path / "proj").mkdir()
@@ -1245,8 +1703,7 @@ class TestCli:
         assert process.returncode == 0
         for code in (
             "DGL000",
-            "DGL001",
-            "DGL008",
+            *sorted(LOCAL_CODES),
             "DGL009",
             "DGL010",
             "DGL011",
@@ -1256,6 +1713,22 @@ class TestCli:
         ):
             assert code in process.stdout
         assert set(RULE_CATALOG) >= {"DGL009", "DGL013", "DGL099"}
+        for _name, summary, rationale in RULE_CATALOG.values():
+            assert summary and rationale
+
+    def test_list_rules(self) -> None:
+        process = run_cli("--list-rules")
+        assert process.returncode == 0
+        for code, (name, _summary, _rationale) in RULE_CATALOG.items():
+            assert f"{code} [{name}]" in process.stdout
+
+    def test_clean_tree_exits_zero(self) -> None:
+        process = run_cli(
+            "--no-cache", "--no-baseline",
+            "--select", ",".join(sorted(LOCAL_CODES)), "src/repro",
+        )
+        assert process.returncode == 0, process.stdout + process.stderr
+        assert process.stdout == ""
 
     def test_findings_exit_one_and_render_locations(
         self, tmp_path: Path
@@ -1269,6 +1742,40 @@ class TestCli:
         assert process.returncode == 1
         assert "bad.py:2:7: DGL001" in process.stdout
 
+    def test_each_per_file_rule_fails_the_run(self, tmp_path: Path) -> None:
+        fixtures = {
+            "DGL001": (
+                "sampling",
+                "import numpy as np\nrng = np.random.default_rng()\n",
+            ),
+            "DGL002": ("core", "import time\nt = time.time()\n"),
+            "DGL003": ("protocol", "def f(g):\n    return g._adjacency\n"),
+            "DGL004": ("core", "def f(x):\n    return x == 0.5\n"),
+            "DGL005": ("repro", "def f(x):\n    return x\n"),
+            "DGL006": (
+                "protocol",
+                "def _handle_x(m: object) -> None:\n    raise ValueError(m)\n",
+            ),
+            "DGL007": ("repro", 'print("hi")\n'),
+            "DGL008": (
+                "repro/core",
+                "from repro.sampling.operator import SamplingOperator\n"
+                "op = SamplingOperator(None, None)\n",
+            ),
+        }
+        for code, (scope, source) in fixtures.items():
+            scoped = tmp_path / code / scope
+            scoped.mkdir(parents=True)
+            (scoped / "bad.py").write_text(source)
+        process = run_cli(
+            "--root", str(tmp_path), "--no-cache",
+            "--select", ",".join(sorted(fixtures)), str(tmp_path),
+        )
+        assert process.returncode == 1, process.stdout + process.stderr
+        for code, (scope, _source) in fixtures.items():
+            assert f"{code}/{scope}/bad.py:" in process.stdout
+            assert f": {code} " in process.stdout
+
     def test_unknown_rule_code_exits_two(self) -> None:
         process = run_cli("--select", "DGL999", "src")
         assert process.returncode == 2
@@ -1276,6 +1783,16 @@ class TestCli:
     def test_missing_path_exits_two(self) -> None:
         process = run_cli("definitely/not/here")
         assert process.returncode == 2
+
+    def test_missing_path_is_usage_error(self) -> None:
+        process = run_cli("definitely/not/a/path")
+        assert process.returncode == 2
+        assert "error: no such path: definitely/not/a/path" in process.stderr
+
+    def test_unknown_select_names_the_code(self) -> None:
+        process = run_cli("--select", "DGL001,DGL999", "src")
+        assert process.returncode == 2
+        assert "unknown rule codes: DGL999" in process.stderr
 
     def test_sarif_output_is_written(self, tmp_path: Path) -> None:
         bad = tmp_path / "src" / "repro" / "sampling" / "bad.py"
@@ -1316,6 +1833,18 @@ class TestRepositoryIsClean:
         process = run_cli("--no-cache", "--stats")
         assert process.returncode == 0, process.stdout + process.stderr
         assert "stale baseline entry" not in process.stderr
+
+    @pytest.mark.parametrize("root", ["src/repro", "tools"])
+    def test_per_file_rules_need_no_baseline(self, root: str) -> None:
+        """The per-file rules hold with no grandfathered debt at all."""
+        result = analyze_paths(
+            [REPO_ROOT / root],
+            repo_root=REPO_ROOT,
+            select=frozenset(LOCAL_CODES),
+        )
+        assert result.findings == [], "\n".join(
+            f.render() for f in result.findings
+        )
 
     def test_runs_fast_enough_for_ci(self) -> None:
         import time

@@ -1,8 +1,7 @@
 """Cross-module static analysis for the Digest reproduction.
 
-``tools.digest_lint`` enforced the simulation invariants one file at a
-time (DGL001-DGL008). This package is its successor: the same per-file
-rules, plus a second pass that parses every file into a shared symbol
+The per-file rules (DGL001-DGL008) enforce the simulation invariants one
+file at a time; a second pass parses every file into a shared symbol
 table and approximate call graph and runs the rules no single file can
 check —
 

@@ -1,4 +1,4 @@
-"""The per-file rules (DGL001-DGL008), migrated from ``tools.digest_lint``.
+"""The per-file rules (DGL001-DGL008).
 
 Each rule is a small AST pass over one module. Rules are scoped by path
 (``applies_to``) so the same engine lints ``src/`` in CI and known-bad

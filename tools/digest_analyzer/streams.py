@@ -30,12 +30,10 @@ SINK_LABELS: dict[str, str] = {
     # membership churn
     "ChurnProcess": "churn",
     # shared sample pool / engine substrate (one stream by design:
-    # DigestNode hands the same generator to its pool and engines)
+    # DigestSession hands the same generator to its pool and evaluators)
     "SamplePool": "pool",
     "DigestEngine": "engine",
     "DigestSession": "engine",
-    "DigestNode": "engine",
-    "RepeatedQueryEngine": "engine",
     # walk execution
     "SamplingOperator": "walk",
     "ProtocolSampler": "walk",
