@@ -42,7 +42,21 @@ def test_walk_context_snapshot(benchmark, walk_setup):
     """CSR + weight snapshot of a 1000-node overlay (per-occasion cost)."""
     rng = np.random.default_rng(0)
     graph = OverlayGraph(power_law_topology(1000, rng=rng), n_nodes=1000)
-    benchmark(WalkContext.from_graph, graph, uniform_weights())
+    far = next(node for node in graph.nodes() if node and not graph.has_edge(0, node))
+
+    def invalidate_csr():
+        # a structural change and its undo: same topology, new version, so
+        # every round pays the cold CSR build an occasion pays after churn
+        graph.add_edge(0, far)
+        graph.remove_edge(0, far)
+
+    benchmark.pedantic(
+        WalkContext.from_graph,
+        args=(graph, uniform_weights()),
+        setup=invalidate_csr,
+        rounds=50,
+        iterations=1,
+    )
 
 
 def test_store_insert_delete(benchmark):

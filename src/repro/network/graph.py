@@ -18,6 +18,7 @@ across churn.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from repro.errors import TopologyError
 
 Edge = tuple[int, int]
+CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class OverlayGraph:
@@ -47,6 +49,7 @@ class OverlayGraph:
         self._next_id = 0
         self._version = 0
         self._bfs_cache: dict[int, tuple[int, dict[int, int]]] = {}
+        self._csr_cache: tuple[int, CSR] | None = None
         if n_nodes is not None:
             for node in range(n_nodes):
                 self._ensure_node(node)
@@ -305,24 +308,37 @@ class OverlayGraph:
         self._bfs_cache = {source: (self._version, distances)}
         return distances
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def csr(self) -> CSR:
         """Compact CSR snapshot ``(node_ids, offsets, targets)``.
 
         ``node_ids[i]`` is the id of compact row ``i``; ``targets[offsets[i]:
         offsets[i+1]]`` are compact indices of its neighbors. Random walks
         over a static occasion run on this snapshot for speed.
+
+        Like :meth:`hop_distances`, the result is cached until the graph
+        next mutates, so every caller between two structural changes gets
+        the same arrays; they are read-only so no caller can corrupt the
+        cache.
         """
-        node_ids = np.array(self.nodes(), dtype=np.int64)
-        index_of = {int(node): i for i, node in enumerate(node_ids)}
-        offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
-        for i, node in enumerate(node_ids):
-            offsets[i + 1] = offsets[i] + len(self._adjacency[int(node)])
-        targets = np.empty(int(offsets[-1]), dtype=np.int64)
-        cursor = 0
-        for node in node_ids:
-            for neighbor in self._adjacency[int(node)]:
-                targets[cursor] = index_of[neighbor]
-                cursor += 1
+        cached = self._csr_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        nodes = self.nodes()
+        adjacency = self._adjacency
+        node_ids = np.array(nodes, dtype=np.int64)
+        offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum([len(adjacency[node]) for node in nodes], out=offsets[1:])
+        neighbors = np.fromiter(
+            chain.from_iterable(adjacency[node] for node in nodes),
+            dtype=np.int64,
+            count=int(offsets[-1]),
+        )
+        # node_ids is sorted and holds every neighbor: its position is the
+        # neighbor's compact index
+        targets = np.searchsorted(node_ids, neighbors)
+        for array in (node_ids, offsets, targets):
+            array.flags.writeable = False
+        self._csr_cache = (self._version, (node_ids, offsets, targets))
         return node_ids, offsets, targets
 
     def copy(self) -> "OverlayGraph":

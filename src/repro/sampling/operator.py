@@ -147,14 +147,26 @@ class _SpectralCache:
     valid: bool = False
 
 
+@dataclass
+class _SharedSnapshot:
+    """The walk context (and partition scope) one tuple draw's rounds share."""
+
+    context: WalkContext | None = None
+    scope: dict[int, int] | None = None
+
+
 class SamplingOperator:
     """Distributed node/tuple sampling via Metropolis walks.
 
     Parameters
     ----------
     graph:
-        The live overlay. A fresh :class:`WalkContext` snapshot is taken
-        whenever the graph version or the weight values changed.
+        The live overlay. Each direct :meth:`sample_nodes` call takes a
+        fresh :class:`WalkContext` snapshot, so no weight goes stale
+        across calls; the redraw rounds of one :meth:`sample_tuples` call
+        share the snapshot their first round took. The topology arrays come
+        from :meth:`OverlayGraph.csr`, which is cached until the overlay
+        next changes.
     rng:
         Randomness source (all draws flow through it).
     ledger:
@@ -195,6 +207,9 @@ class SamplingOperator:
             bridge_fault_log(faults.log, self._tracer)
         self._spectral = _SpectralCache()
         self._pool_nodes: list[int] = []  # continued-walk positions (node ids)
+        #: set only while :meth:`sample_tuples` runs, so that its redraw
+        #: rounds walk the snapshot its first round built
+        self._shared_snapshot: _SharedSnapshot | None = None
         self.samples_drawn = 0
         self.walks_started = 0
 
@@ -338,26 +353,32 @@ class SamplingOperator:
         span = self._tracer.span(
             SPAN_SAMPLE_ACQUISITION, n_requested=n, origin=origin
         )
-        scope: dict[int, int] | None = None
-        partitions = self._partitions
-        if partitions is not None and partitions.active:
-            scope = partitions.reachable(self._graph, origin)
-            if len(scope) <= 1:
-                # the origin is alone on its side of the cut: the only
-                # reachable "sample" is itself, and no walk can leave
-                self._tracer.end(
-                    span,
-                    n_continued=0,
-                    n_fresh=n,
-                    mix_length=0,
-                    reset_length=0,
-                    n_delivered=n,
-                )
-                self.samples_drawn += n
-                return [origin] * n
-            context = WalkContext.from_subgraph(self._graph, weight, scope)
+        shared = self._shared_snapshot
+        if shared is not None and shared.context is not None:
+            context, scope = shared.context, shared.scope
         else:
-            context = WalkContext.from_graph(self._graph, weight)
+            scope = None
+            partitions = self._partitions
+            if partitions is not None and partitions.active:
+                scope = partitions.reachable(self._graph, origin)
+                if len(scope) <= 1:
+                    # the origin is alone on its side of the cut: the only
+                    # reachable "sample" is itself, and no walk can leave
+                    self._tracer.end(
+                        span,
+                        n_continued=0,
+                        n_fresh=n,
+                        mix_length=0,
+                        reset_length=0,
+                        n_delivered=n,
+                    )
+                    self.samples_drawn += n
+                    return [origin] * n
+                context = WalkContext.from_subgraph(self._graph, weight, scope)
+            else:
+                context = WalkContext.from_graph(self._graph, weight)
+            if shared is not None:
+                shared.context, shared.scope = context, scope
         mix_length, reset_length = self._walk_lengths(context, origin)
         config = self._config
 
@@ -376,9 +397,7 @@ class SamplingOperator:
         final_positions: list[int] = []
         walk_steps: list[int] = []
         if continued:
-            starts = np.array(
-                [context.compact_index(node) for node in continued], dtype=np.int64
-            )
+            starts = context.compact_indices(continued)
             ends = batch_walk(
                 context,
                 starts,
@@ -387,7 +406,7 @@ class SamplingOperator:
                 self._ledger,
                 config.laziness,
             )
-            final_positions.extend(int(context.node_ids[e]) for e in ends)
+            final_positions.extend(context.node_ids[ends].tolist())
             walk_steps.extend([reset_length] * len(continued))
         if n_fresh > 0:
             starts = np.full(
@@ -401,7 +420,7 @@ class SamplingOperator:
                 self._ledger,
                 config.laziness,
             )
-            final_positions.extend(int(context.node_ids[e]) for e in ends)
+            final_positions.extend(context.node_ids[ends].tolist())
             walk_steps.extend([mix_length] * n_fresh)
             self.walks_started += n_fresh
 
@@ -476,19 +495,27 @@ class SamplingOperator:
         samples: list[TupleSample] = []
         rounds = 0
         need = n
-        for _ in range(max_retries):
-            if need == 0:
-                break
-            rounds += 1
-            for node in self.sample_nodes(weight, need, origin):
-                store = database.store(node)
-                if len(store) == 0:
-                    continue  # zero-weight node reached; re-draw below
-                tuple_id = store.sample_uniform(self._rng)
-                samples.append(
-                    TupleSample(tuple_id=tuple_id, node=node, row=store.get(tuple_id))
-                )
-            need = n - len(samples)
+        # nothing mutates the overlay or the relation between rounds, so
+        # they all walk the first round's snapshot
+        self._shared_snapshot = _SharedSnapshot()
+        try:
+            for _ in range(max_retries):
+                if need == 0:
+                    break
+                rounds += 1
+                for node in self.sample_nodes(weight, need, origin):
+                    store = database.store(node)
+                    if len(store) == 0:
+                        continue  # zero-weight node reached; re-draw below
+                    tuple_id = store.sample_uniform(self._rng)
+                    samples.append(
+                        TupleSample(
+                            tuple_id=tuple_id, node=node, row=store.get(tuple_id)
+                        )
+                    )
+                need = n - len(samples)
+        finally:
+            self._shared_snapshot = None
         if need > 0:
             if allow_partial:
                 if self._faults is not None:

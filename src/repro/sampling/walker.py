@@ -40,6 +40,11 @@ class WalkContext:
     walks of the occasion see one consistent graph. ``graph_version``
     records which overlay version was frozen, letting the operator detect
     staleness.
+
+    ``accept[s]`` is the Metropolis acceptance ``min(1, w_j d_i / (w_i d_j))``
+    of the proposal along CSR slot ``s`` (from row ``i`` to ``j =
+    targets[s]``), and ``1.0`` where ``w_i == 0``. It depends only on the
+    snapshot, so it is computed once here rather than on every walk step.
     """
 
     node_ids: np.ndarray  # compact index -> node id
@@ -47,6 +52,7 @@ class WalkContext:
     targets: np.ndarray  # CSR neighbor compact indices
     degrees: np.ndarray  # degree per compact index
     weights: np.ndarray  # weight per compact index
+    accept: np.ndarray  # Metropolis acceptance per CSR slot
     graph_version: int
 
     @classmethod
@@ -54,26 +60,7 @@ class WalkContext:
         cls, graph: OverlayGraph, weight: WeightFunction
     ) -> "WalkContext":
         node_ids, offsets, targets = graph.csr()
-        degrees = np.diff(offsets)
-        if np.any(degrees == 0) and node_ids.size > 1:
-            isolated = node_ids[degrees == 0]
-            raise TopologyError(
-                f"overlay has isolated nodes {isolated[:5].tolist()}; "
-                "the sampling walk cannot reach or leave them"
-            )
-        weights = np.array([weight(int(node)) for node in node_ids], dtype=float)
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise SamplingError("weights must be finite and non-negative")
-        if weights.sum() <= 0:
-            raise SamplingError("all node weights are zero")
-        return cls(
-            node_ids=node_ids,
-            offsets=offsets,
-            targets=targets,
-            degrees=degrees.astype(np.int64),
-            weights=weights,
-            graph_version=graph.version,
-        )
+        return cls._freeze(graph, weight, node_ids, offsets, targets)
 
     @classmethod
     def from_subgraph(
@@ -109,24 +96,49 @@ class WalkContext:
         targets = np.array(
             [index_of[neighbor] for neighbor in kept], dtype=np.int64
         )
+        return cls._freeze(graph, weight, node_ids, offsets, targets)
+
+    @classmethod
+    def _freeze(
+        cls,
+        graph: OverlayGraph,
+        weight: WeightFunction,
+        node_ids: np.ndarray,
+        offsets: np.ndarray,
+        targets: np.ndarray,
+    ) -> "WalkContext":
+        """Validate a CSR snapshot, weigh its nodes and precompute ``accept``."""
         degrees = np.diff(offsets)
         if np.any(degrees == 0) and node_ids.size > 1:
             isolated = node_ids[degrees == 0]
             raise TopologyError(
-                f"scope leaves nodes {isolated[:5].tolist()} isolated; "
-                "a sampling scope must be internally connected"
+                f"snapshot leaves nodes {isolated[:5].tolist()} isolated; "
+                "the sampling walk cannot reach or leave them"
             )
-        weights = np.array([weight(int(node)) for node in node_ids], dtype=float)
+        weights = np.array([weight(node) for node in node_ids.tolist()], dtype=float)
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise SamplingError("weights must be finite and non-negative")
         if weights.sum() <= 0:
             raise SamplingError("all node weights are zero")
+        # keep these exactly the elementwise operations of the per-step
+        # reference kernel in the tests: walks must stay bit-reproducible
+        source = np.repeat(np.arange(node_ids.size, dtype=np.int64), degrees)
+        weight_i = weights[source]
+        degree_i = degrees[source]
+        ratio = np.empty(targets.size, dtype=float)
+        zero_mask = weight_i == 0.0
+        ratio[zero_mask] = 1.0
+        safe = ~zero_mask
+        ratio[safe] = (weights[targets][safe] * degree_i[safe]) / (
+            weight_i[safe] * degrees[targets][safe]
+        )
         return cls(
             node_ids=node_ids,
             offsets=offsets,
             targets=targets,
             degrees=degrees.astype(np.int64),
             weights=weights,
+            accept=np.minimum(1.0, ratio),
             graph_version=graph.version,
         )
 
@@ -136,10 +148,18 @@ class WalkContext:
 
     def compact_index(self, node: int) -> int:
         """Compact index of overlay node id ``node``."""
-        position = int(np.searchsorted(self.node_ids, node))
-        if position >= self.node_ids.size or self.node_ids[position] != node:
+        return int(self.compact_indices([node])[0])
+
+    def compact_indices(self, nodes: Iterable[int]) -> np.ndarray:
+        """Compact indices of overlay node ids ``nodes``, in order."""
+        wanted = np.fromiter(nodes, dtype=np.int64)
+        positions = np.searchsorted(self.node_ids, wanted)
+        found = np.minimum(positions, self.node_ids.size - 1)
+        missing = self.node_ids[found] != wanted
+        if np.any(missing):
+            node = int(wanted[np.argmax(missing)])
             raise SamplingError(f"node {node} is not in this walk context")
-        return position
+        return positions
 
     def target_distribution(self) -> np.ndarray:
         """The normalized stationary law ``p_v`` over compact indices."""
@@ -228,36 +248,31 @@ def batch_walk(
     if positions.size == 0 or steps == 0:
         return positions
     n_walkers = positions.size
+    everyone = np.arange(n_walkers)
     proposals_sent = 0
-    weights = context.weights
-    degrees = context.degrees
+    # degrees are small integers, exact as floats, so the products are
+    # unchanged; a float-by-float multiply skips the per-step type
+    # resolution a float-by-int one pays
+    degrees = context.degrees.astype(float)
     offsets = context.offsets
     targets = context.targets
+    accept = context.accept
     for _ in range(steps):
         if laziness > 0.0:
-            active = rng.random(n_walkers) >= laziness
-            if not np.any(active):
-                continue
+            active = (rng.random(n_walkers) >= laziness).nonzero()[0]
         else:
-            active = np.ones(n_walkers, dtype=bool)
+            active = everyone
+        k = active.size
+        if k == 0:
+            continue
         current = positions[active]
-        degree_i = degrees[current]
-        picks = (rng.random(current.size) * degree_i).astype(np.int64)
-        proposed = targets[offsets[current] + picks]
-        proposals_sent += int(current.size)
-        weight_i = weights[current]
-        weight_j = weights[proposed]
-        ratio = np.empty(current.size, dtype=float)
-        zero_mask = weight_i == 0.0
-        ratio[zero_mask] = 1.0
-        safe = ~zero_mask
-        ratio[safe] = (weight_j[safe] * degree_i[safe]) / (
-            weight_i[safe] * degrees[proposed[safe]]
-        )
-        accepted = rng.random(current.size) < np.minimum(1.0, ratio)
-        moved = current.copy()
-        moved[accepted] = proposed[accepted]
-        positions[active] = moved
+        # one draw for the neighbor picks, then the acceptance coins: the
+        # same stream, in the same order, as two k-sized draws
+        coins = rng.random(2 * k)
+        slots = offsets[current] + (coins[:k] * degrees[current]).astype(np.int64)
+        accepted = coins[k:] < accept[slots]
+        positions[active[accepted]] = targets[slots[accepted]]
+        proposals_sent += k
     if ledger is not None:
         ledger.record_walk_steps(proposals_sent)
     return positions

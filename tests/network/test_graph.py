@@ -137,6 +137,51 @@ class TestAnalysis:
         assert 2 not in node_ids.tolist()
         assert targets.max() < len(node_ids)
 
+    def test_csr_reused_while_version_unchanged(self):
+        graph = OverlayGraph(ring_topology(6), n_nodes=6)
+        first = graph.csr()
+        graph.add_edge(0, 1)  # already present: no structural change
+        second = graph.csr()
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda graph: graph.add_edge(0, 3),
+            lambda graph: graph.remove_edge(0, 1),
+            lambda graph: graph.join(attach_to=[2, 4]),
+            lambda graph: graph.leave(2),
+        ],
+        ids=["add_edge", "remove_edge", "join", "leave"],
+    )
+    def test_csr_rebuilt_after_each_mutation(self, mutate):
+        graph = OverlayGraph(ring_topology(6), n_nodes=6)
+        stale = graph.csr()
+        mutate(graph)
+        node_ids, offsets, targets = graph.csr()
+        assert node_ids is not stale[0]
+        assert node_ids.tolist() == graph.nodes()
+        for row, node in enumerate(node_ids.tolist()):
+            neighbors = node_ids[targets[offsets[row] : offsets[row + 1]]]
+            assert neighbors.tolist() == graph.neighbors(node)
+
+    def test_csr_arrays_are_read_only(self):
+        graph = OverlayGraph(ring_topology(6), n_nodes=6)
+        for array in graph.csr():
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert graph.csr()[0].tolist() == [0, 1, 2, 3, 4, 5]
+
+    def test_copy_builds_its_own_csr(self, triangle):
+        original = triangle.csr()
+        clone = triangle.copy()
+        cloned = clone.csr()
+        assert all(a is not b for a, b in zip(original, cloned))
+        assert all(np.array_equal(a, b) for a, b in zip(original, cloned))
+        clone.join(attach_to=[0])
+        assert triangle.csr()[0].tolist() == [0, 1, 2]
+        assert clone.csr()[0].tolist() == [0, 1, 2, 3]
+
     def test_copy_independent(self, triangle):
         clone = triangle.copy()
         clone.join(attach_to=[0])

@@ -304,3 +304,121 @@ class TestPartitionScoping:
         sampled = operator.sample_nodes(uniform_weights(), 60, 0)
         # walks roam the whole overlay again
         assert len(set(sampled)) > len(graph) // 2
+
+
+class TestSnapshotLifetime:
+    """One walk context per tuple draw; a fresh one for every other call."""
+
+    @staticmethod
+    def _count_builds(monkeypatch, attr):
+        from repro.sampling.walker import WalkContext
+
+        built = []
+        original = getattr(WalkContext, attr)
+
+        def counting(*args, **kwargs):
+            context = original(*args, **kwargs)
+            built.append(context)
+            return context
+
+        monkeypatch.setattr(WalkContext, attr, staticmethod(counting))
+        return built
+
+    @staticmethod
+    def _count_rounds(monkeypatch, operator):
+        rounds = []
+        original = operator.sample_nodes
+
+        def counting(weight, n, origin):
+            rounds.append(n)
+            return original(weight, n, origin)
+
+        monkeypatch.setattr(operator, "sample_nodes", counting)
+        return rounds
+
+    @staticmethod
+    def _lossy_operator(graph, partitions=None):
+        from repro.network.faults import FaultConfig, FaultPlan
+
+        return SamplingOperator(
+            graph,
+            np.random.default_rng(0),
+            config=SamplerConfig(walk_length=30),
+            faults=FaultPlan(FaultConfig(message_loss=0.03), rng=1),
+            partitions=partitions,
+        )
+
+    def test_redraw_rounds_share_one_context(self, monkeypatch):
+        graph, database = _world()
+        built = self._count_builds(monkeypatch, "from_graph")
+        operator = self._lossy_operator(graph)
+        rounds = self._count_rounds(monkeypatch, operator)
+        operator.sample_tuples(database, 20, origin=0, allow_partial=True)
+        assert len(rounds) >= 2
+        assert len(built) == 1
+
+    def test_direct_node_draws_take_fresh_snapshots(self, monkeypatch):
+        graph, _ = _world()
+        built = self._count_builds(monkeypatch, "from_graph")
+        operator = SamplingOperator(graph, np.random.default_rng(0))
+        operator.sample_nodes(uniform_weights(), 3, origin=0)
+        operator.sample_nodes(uniform_weights(), 3, origin=0)
+        assert len(built) == 2
+
+    def test_next_draw_sees_insert_at_empty_node(self, monkeypatch):
+        graph = OverlayGraph(mesh_topology(16), n_nodes=16)
+        database = P2PDatabase(Schema(("v",)), graph.nodes())
+        for node in range(8):
+            database.insert(node, {"v": 1.0})
+        built = self._count_builds(monkeypatch, "from_graph")
+        operator = SamplingOperator(graph, np.random.default_rng(0))
+        operator.sample_tuples(database, 5, origin=0)
+        version = graph.version
+        database.insert(12, {"v": 2.0})
+        operator.sample_tuples(database, 5, origin=0)
+        assert graph.version == version  # the overlay itself is unchanged
+        before, after = built
+        index = before.compact_index(12)
+        assert before.weights[index] == 0.0
+        assert after.weights[index] == 1.0
+
+    def test_partition_rounds_share_the_scoped_context(self, monkeypatch):
+        graph, database, plan = TestPartitionScoping()._partitioned_world()
+        origin = next(
+            node for node in graph.nodes() if len(plan.reachable(graph, node)) > 4
+        )
+        scope = set(plan.reachable(graph, origin))
+        assert len(scope) < len(graph)
+        full = self._count_builds(monkeypatch, "from_graph")
+        scoped = self._count_builds(monkeypatch, "from_subgraph")
+        operator = self._lossy_operator(graph, partitions=plan)
+        rounds = self._count_rounds(monkeypatch, operator)
+        samples = operator.sample_tuples(
+            database, 20, origin=origin, allow_partial=True
+        )
+        assert len(rounds) >= 2
+        assert (len(full), len(scoped)) == (0, 1)
+        assert {sample.node for sample in samples} <= scope
+
+    def test_origin_alone_still_samples_itself(self, monkeypatch):
+        from repro.network.partitions import (
+            PartitionEpisode,
+            PartitionPlan,
+            PartitionSchedule,
+        )
+
+        graph = OverlayGraph([(0, 1)], n_nodes=2)
+        database = P2PDatabase(Schema(("v",)), graph.nodes())
+        for node in graph.nodes():
+            database.insert(node, {"v": float(node)})
+        plan = PartitionPlan(
+            PartitionSchedule(episodes=(PartitionEpisode(start=0, duration=5),)),
+            rng=0,
+        )
+        plan.step(0, graph)
+        built = self._count_builds(monkeypatch, "from_subgraph")
+        operator = self._lossy_operator(graph, partitions=plan)
+        assert operator.sample_nodes(uniform_weights(), 4, 0) == [0] * 4
+        samples = operator.sample_tuples(database, 4, origin=0)
+        assert [sample.node for sample in samples] == [0] * 4
+        assert built == []

@@ -228,3 +228,116 @@ class TestFromSubgraph:
             graph, uniform_weights(), nodes=[1]
         )
         assert context.n_nodes == 1
+
+
+def _reference_batch_walk(context, start_positions, steps, rng, ledger, laziness):
+    """The per-step kernel before acceptance was precomputed per edge.
+
+    Kept verbatim as the oracle: the fast kernel must reach the same final
+    positions and send the same proposals from the same RNG stream.
+    """
+    positions = np.array(start_positions, dtype=np.int64, copy=True)
+    n_walkers = positions.size
+    proposals_sent = 0
+    weights = context.weights
+    degrees = context.degrees
+    offsets = context.offsets
+    targets = context.targets
+    for _ in range(steps):
+        if laziness > 0.0:
+            active = rng.random(n_walkers) >= laziness
+            if not np.any(active):
+                continue
+        else:
+            active = np.ones(n_walkers, dtype=bool)
+        current = positions[active]
+        degree_i = degrees[current]
+        picks = (rng.random(current.size) * degree_i).astype(np.int64)
+        proposed = targets[offsets[current] + picks]
+        proposals_sent += int(current.size)
+        weight_i = weights[current]
+        weight_j = weights[proposed]
+        ratio = np.empty(current.size, dtype=float)
+        zero_mask = weight_i == 0.0
+        ratio[zero_mask] = 1.0
+        safe = ~zero_mask
+        ratio[safe] = (weight_j[safe] * degree_i[safe]) / (
+            weight_i[safe] * degrees[proposed[safe]]
+        )
+        accepted = rng.random(current.size) < np.minimum(1.0, ratio)
+        moved = current.copy()
+        moved[accepted] = proposed[accepted]
+        positions[active] = moved
+    ledger.record_walk_steps(proposals_sent)
+    return positions
+
+
+def _uniform_context():
+    return WalkContext.from_graph(_power_law_graph(), uniform_weights())
+
+
+def _power_law_graph():
+    return OverlayGraph(
+        power_law_topology(60, rng=np.random.default_rng(2)), n_nodes=60
+    )
+
+
+def _content_size_context():
+    """Content-size weights where a third of the fragments are empty."""
+    graph = _power_law_graph()
+    sizes = {
+        node: float(node % 3 == 0) * (1 + node % 7) for node in graph.nodes()
+    }
+    return WalkContext.from_graph(graph, table_weights(sizes))
+
+
+def _subgraph_context():
+    graph = _power_law_graph()
+    scope = sorted(graph.hop_distances(0).items(), key=lambda item: item[1])
+    return WalkContext.from_subgraph(
+        graph, uniform_weights(), nodes=[node for node, _ in scope[:30]]
+    )
+
+
+class TestKernelBitIdentity:
+    CONTEXTS = {
+        "uniform": _uniform_context,
+        "content_size": _content_size_context,
+        "subgraph": _subgraph_context,
+    }
+
+    @pytest.mark.parametrize("laziness", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", sorted(CONTEXTS))
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_matches_reference_kernel(self, kind, laziness, seed):
+        context = self.CONTEXTS[kind]()
+        starts = np.random.default_rng(seed + 100).integers(
+            context.n_nodes, size=23
+        )
+        fast_rng = np.random.default_rng(seed)
+        slow_rng = np.random.default_rng(seed)
+        fast_ledger = MessageLedger()
+        slow_ledger = MessageLedger()
+        fast = batch_walk(context, starts, 80, fast_rng, fast_ledger, laziness)
+        slow = _reference_batch_walk(
+            context, starts, 80, slow_rng, slow_ledger, laziness
+        )
+        np.testing.assert_array_equal(fast, slow)
+        assert fast_ledger.walk_steps == slow_ledger.walk_steps
+        # both consumed exactly the same stream
+        assert fast_rng.random() == slow_rng.random()
+
+    @pytest.mark.parametrize("kind", sorted(CONTEXTS))
+    def test_accept_matches_per_slot_formula(self, kind):
+        context = self.CONTEXTS[kind]()
+        assert context.accept.size == context.targets.size
+        for i in range(context.n_nodes):
+            for slot in range(context.offsets[i], context.offsets[i + 1]):
+                j = context.targets[slot]
+                w_i, w_j = context.weights[i], context.weights[j]
+                d_i, d_j = context.degrees[i], context.degrees[j]
+                if w_i == 0.0:
+                    expected = 1.0
+                else:
+                    expected = min(1.0, (w_j * d_i) / (w_i * d_j))
+                assert context.accept[slot] == expected
