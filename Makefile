@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results examples full-scale clean lint typecheck check
+.PHONY: install test test-all bench results examples full-scale clean lint typecheck check
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -28,8 +28,10 @@ typecheck:
 		echo "mypy not installed -- skipping (pip install mypy)"; \
 	fi
 
-# everything CI runs, in CI's order
+# everything CI runs, in CI's order, up to the experiment smoke runs
 check: lint typecheck test
+	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) -m pytest benchmarks/bench_micro.py -q --benchmark-disable
 
 test-all: export REPRO_RUN_EXAMPLES=1
 test-all:

@@ -52,12 +52,7 @@ from repro.obs.analysis import verify_trace_consistency
 from repro.obs.console import emit
 from repro.obs.export import export_trace
 from repro.obs.schema import SPAN_PARTITION_CELL
-from repro.obs.tracer import (
-    RecordingTracer,
-    RunMetricsSink,
-    Trace,
-    bridge_fault_log,
-)
+from repro.obs.tracer import RecordingTracer, RunMetricsSink, Trace
 from repro.sim.metrics import RunMetrics
 
 
@@ -189,7 +184,7 @@ def _run_cell(
         tracer=tracer,
         heal_policy=heal_policy,
     )
-    bridge_fault_log(plan.log, tracer)
+    plan.log.attach(tracer)
     cell_span = tracer.span(
         SPAN_PARTITION_CELL,
         time=0,

@@ -24,6 +24,7 @@ gates that machinery end to end:
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,7 +283,9 @@ def _run_cell(
         ),
         verdicts_ok=sum(1 for v in verdicts.values() if v.ok),
         verdicts_total=len(verdicts),
-        ops_counts=engine.fault_log.counts(),
+        ops_counts=dict(
+            sorted(Counter(t.state for t in engine.transitions).items())
+        ),
         consistency_mismatches=verify_trace_consistency(
             trace, session.metrics
         ),

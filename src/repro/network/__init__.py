@@ -24,7 +24,6 @@ from repro.network.churn import ChurnConfig, ChurnProcess
 from repro.network.faults import (
     CrashProcess,
     FaultConfig,
-    FaultEvent,
     FaultLog,
     FaultPlan,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "CircuitBreaker",
     "CrashProcess",
     "FaultConfig",
-    "FaultEvent",
     "FaultLog",
     "FaultPlan",
     "HealthConfig",

@@ -10,10 +10,10 @@ arrives. This module is the single source of injected unreliability:
 * :class:`FaultPlan` is one seeded *realization* of a config — all fault
   draws flow through its private generator so a fixed seed reproduces the
   exact same loss/crash/jitter sequence on every rerun;
-* :class:`FaultLog` records every injected or observed fault as a
-  :class:`FaultEvent`, the audit trail behind the "honest degradation"
-  contract: a handler that hits a failure records an event instead of
-  raising (digest-analyzer DGL006);
+* :class:`FaultLog` counts every injected or observed fault per kind and
+  forwards it to the run's tracer as a ``fault`` event, the audit trail
+  behind the "honest degradation" contract: a handler that hits a failure
+  records a fault instead of raising (digest-analyzer DGL006);
 * :class:`CrashProcess` applies the per-step crash process to an
   :class:`~repro.network.graph.OverlayGraph`. It composes with
   :class:`~repro.network.churn.ChurnProcess` — both mutate the same graph
@@ -23,12 +23,16 @@ arrives. This module is the single source of injected unreliability:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.network.graph import OverlayGraph
+from repro.obs.schema import EVENT_FAULT
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.obs.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -75,56 +79,34 @@ class FaultConfig:
         )
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One recorded fault: what went wrong, where, and to whom.
-
-    ``time`` is simulated time (``-1`` when the fault occurred outside the
-    event loop, e.g. in the abstract matrix-based sampler). ``walker_id``
-    and ``node`` are ``None`` when not applicable.
-    """
-
-    time: int
-    kind: str
-    walker_id: int | None = None
-    node: int | None = None
-    detail: str = ""
-
-
 class FaultLog:
-    """Append-only audit trail of fault events.
+    """Per-kind tally of fault events, forwarding each to one tracer.
 
-    Handlers convert failures into entries here instead of raising
-    (digest-analyzer DGL006); experiments read the per-kind counts to report
-    what actually happened alongside the estimates.
+    Handlers convert failures into records here instead of raising
+    (digest-analyzer DGL006); experiments read the per-kind counts to
+    report what actually happened alongside the estimates. The individual
+    faults live only in the trace: :meth:`attach` a tracer and every
+    :meth:`record` becomes a span-less ``fault`` event there.
     """
 
     def __init__(self) -> None:
-        self._events: list[FaultEvent] = []
-        self._listeners: dict[str, Callable[[FaultEvent], None]] = {}
+        self._counts: dict[str, int] = {}
+        self._tracer: Tracer | None = None
 
-    def subscribe(
-        self, listener: Callable[[FaultEvent], None], key: str
-    ) -> None:
-        """Register ``listener`` for every *future* event.
+    def attach(self, tracer: Tracer) -> None:
+        """Forward every *future* fault to ``tracer`` as a ``fault`` event.
 
-        Listeners are keyed: subscribing again under the same key replaces
-        the old listener rather than adding a duplicate, so a log shared
-        between components (e.g. a fault plan wired into both an operator
-        and a protocol sampler) can be bridged to the same observer twice
-        without double-counting.
+        A disabled tracer is ignored and attaching the same tracer again
+        is a no-op, so a log shared between components (a fault plan
+        wired into both an operator and a protocol sampler) records each
+        fault once. Refuses a second, different tracer — two traces each
+        holding part of one log's faults would both be incomplete.
         """
-        self._listeners[key] = listener
-
-    def unsubscribe(self, key: str) -> bool:
-        """Remove the listener registered under ``key``.
-
-        Returns True when a listener was removed, False when the key was
-        unknown (already unsubscribed, or never registered). Long-lived
-        sessions that attach and detach observers must call this so the
-        log does not accumulate dead listeners.
-        """
-        return self._listeners.pop(key, None) is not None
+        if not tracer.enabled or tracer is self._tracer:
+            return
+        if self._tracer is not None:
+            raise ValueError("fault log already forwards to a tracer")
+        self._tracer = tracer
 
     def record(
         self,
@@ -134,21 +116,22 @@ class FaultLog:
         node: int | None = None,
         detail: str = "",
     ) -> None:
-        """Append one fault event."""
-        event = FaultEvent(
-            time=time, kind=kind, walker_id=walker_id, node=node, detail=detail
-        )
-        self._events.append(event)
-        for listener in self._listeners.values():
-            listener(event)
+        """Count one fault and forward it to the attached tracer.
 
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def events(self) -> list[FaultEvent]:
-        """All recorded events, oldest first (copy)."""
-        return list(self._events)
+        ``time`` is simulated time (``-1`` when the fault occurred outside
+        the event loop, e.g. in the abstract matrix-based sampler).
+        ``walker_id`` and ``node`` are ``None`` when not applicable.
+        """
+        self._counts[kind] = self._counts.get(kind, 0) + 1
+        if self._tracer is not None:
+            self._tracer.event(
+                EVENT_FAULT,
+                time=time,
+                kind=kind,
+                walker_id=walker_id,
+                node=node,
+                detail=detail,
+            )
 
     def counts(self) -> dict[str, int]:
         """Number of recorded events per kind, kinds in sorted order.
@@ -157,21 +140,18 @@ class FaultLog:
         artifacts derived from the counts are stable across runs whose
         faults merely interleave differently.
         """
-        totals: dict[str, int] = {}
-        for event in self._events:
-            totals[event.kind] = totals.get(event.kind, 0) + 1
-        return {kind: totals[kind] for kind in sorted(totals)}
+        return {kind: self._counts[kind] for kind in sorted(self._counts)}
 
     def count(self, kind: str) -> int:
         """Number of recorded events of one kind."""
-        return sum(1 for event in self._events if event.kind == kind)
+        return self._counts.get(kind, 0)
 
     def summary(self) -> str:
         """Human-readable per-kind tally, e.g. ``message_loss=3, node_crash=1``."""
         counts = self.counts()
         if not counts:
             return "no faults recorded"
-        return ", ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
+        return ", ".join(f"{kind}={count}" for kind, count in counts.items())
 
 
 class FaultPlan:
@@ -222,17 +202,6 @@ class FaultPlan:
         if jitter <= 0:
             return base
         return base + int(self._rng.integers(0, jitter + 1))
-
-    def record(
-        self,
-        time: int,
-        kind: str,
-        walker_id: int | None = None,
-        node: int | None = None,
-        detail: str = "",
-    ) -> None:
-        """Record a fault event on the plan's log."""
-        self.log.record(time, kind, walker_id=walker_id, node=node, detail=detail)
 
 
 class CrashProcess:
@@ -295,14 +264,14 @@ class CrashProcess:
                 for node in doomed[: max(0, headroom)]:
                     self._graph.leave(node, rewire=config.crash_rewire)
                     crashed.append(node)
-                    plan.record(time, "node_crash", node=node)
+                    plan.log.record(time, "node_crash", node=node)
         if config.link_failure_probability > 0.0:
             for u, v in self._graph.edges():
                 if rng.random() < config.link_failure_probability:
                     # never orphan an endpoint: a node's last link stays up
                     if self._graph.degree(u) > 1 and self._graph.degree(v) > 1:
                         self._graph.remove_edge(u, v)
-                        plan.record(
+                        plan.log.record(
                             time, "link_failure", detail=f"({u}, {v})"
                         )
         return crashed

@@ -163,7 +163,7 @@ class HealthMonitor:
         from repro.obs.tracer import NULL_TRACER
 
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._fault_log = fault_log if fault_log is not None else FaultLog()
+        self.fault_log = fault_log if fault_log is not None else FaultLog()
         self._breakers: dict[tuple[int, int], CircuitBreaker] = {}
         self._scores: dict[tuple[int, int], float] = {}
         self._suspected: set[int] = set()
@@ -253,7 +253,7 @@ class HealthMonitor:
                 )
         elif breaker.record_failure(time):
             self.trips += 1
-            self._fault_log.record(
+            self.fault_log.record(
                 time,
                 "breaker_trip",
                 node=origin,
@@ -297,7 +297,7 @@ class HealthMonitor:
             and origin not in self._suspected
         ):
             self._suspected.add(origin)
-            self._fault_log.record(
+            self.fault_log.record(
                 time,
                 "partition_suspected",
                 node=origin,
@@ -305,7 +305,7 @@ class HealthMonitor:
             )
         elif fraction < self.config.detect_fraction and origin in self._suspected:
             self._suspected.discard(origin)
-            self._fault_log.record(
+            self.fault_log.record(
                 time,
                 "partition_cleared",
                 node=origin,

@@ -63,7 +63,6 @@ from repro.obs.tracer import (
     TraceEvent,
     Tracer,
     TraceSink,
-    bridge_fault_log,
 )
 
 __all__ = [
@@ -92,7 +91,6 @@ __all__ = [
     "WallClockProfiler",
     "WindowConfig",
     "WindowStats",
-    "bridge_fault_log",
     "emit",
     "export_trace",
     "feed_trace",

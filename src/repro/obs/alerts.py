@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.errors import QueryError
 from repro.obs.analysis import alert_timeline
@@ -44,15 +43,12 @@ from repro.obs.live import LivePipeline, WindowConfig, WindowStats, feed_trace
 from repro.obs.schema import EVENT_ALERT_FIRING, EVENT_ALERT_RESOLVED
 from repro.obs.tracer import NULL_TRACER, Trace, Tracer
 
-if TYPE_CHECKING:  # pragma: no cover - layering: obs stays network-light
-    from repro.network.faults import FaultLog
-
 #: rule kinds
 THRESHOLD = "threshold"
 BURN_RATE = "burn_rate"
 ABSENCE = "absence"
 
-#: firing/resolved states (transition labels and FaultLog kinds)
+#: firing/resolved states (transition labels)
 FIRING = "alerts_fired"
 RESOLVED = "alerts_resolved"
 
@@ -138,13 +134,7 @@ class AlertEngine:
 
     ``tracer`` receives the transition events (attach the run's own
     :class:`~repro.obs.tracer.SinkTracer` so transitions enter the trace
-    and the :class:`~repro.obs.tracer.RunMetricsSink` counters);
-    ``fault_log`` is an *ops* log recording the same transitions under
-    the kinds :data:`FIRING` / :data:`RESOLVED`, so
-    ``FaultLog.counts()`` surfaces ``alerts_fired`` / ``alerts_resolved``
-    next to the injected-fault kinds. It defaults to a dedicated private
-    log: recording into a tracer-bridged fault log would double-count
-    every transition as an injected fault.
+    and the :class:`~repro.obs.tracer.RunMetricsSink` counters).
     """
 
     def __init__(
@@ -152,7 +142,6 @@ class AlertEngine:
         pipeline: LivePipeline,
         rules: list[AlertRule],
         tracer: Tracer | None = None,
-        fault_log: "FaultLog | None" = None,
     ) -> None:
         names = [rule.name for rule in rules]
         duplicates = sorted({name for name in names if names.count(name) > 1})
@@ -161,12 +150,6 @@ class AlertEngine:
         self.pipeline = pipeline
         self.rules = list(rules)
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        if fault_log is None:
-            # imported lazily to keep repro.obs importable without network
-            from repro.network.faults import FaultLog
-
-            fault_log = FaultLog()
-        self.fault_log = fault_log
         self._streaks: dict[str, int] = {rule.name: 0 for rule in rules}
         self._firing: set[str] = set()
         self.transitions: list[AlertTransition] = []
@@ -216,11 +199,6 @@ class AlertEngine:
                 value=value,
                 threshold=rule.threshold,
             )
-        )
-        self.fault_log.record(
-            time,
-            state,
-            detail=f"rule {rule.name}: {rule.signal}={value:g}",
         )
         if state == FIRING:
             self._tracer.event(

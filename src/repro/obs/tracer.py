@@ -23,9 +23,10 @@ Three tracers share one interface:
 
 Simulated time is threaded explicitly (``time=`` arguments) or read from
 a clock passed at construction; a span recorded outside the event loop
-uses ``-1``, the same sentinel :class:`~repro.network.faults.FaultEvent`
-uses. Wall-clock time never enters a span — profiling is a separate,
-clearly-labeled concern (:mod:`repro.obs.profile`).
+uses ``-1``, the same sentinel an untimed
+:meth:`~repro.network.faults.FaultLog.record` uses. Wall-clock time never
+enters a span — profiling is a separate, clearly-labeled concern
+(:mod:`repro.obs.profile`).
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ from repro.obs.schema import (
 from repro.sim.clock import SimulationClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.network.faults import FaultEvent, FaultLog
     from repro.sim.metrics import RunMetrics
 
-#: Simulated-time sentinel for "outside the event loop" (mirrors
-#: :class:`repro.network.faults.FaultEvent`).
+#: Simulated-time sentinel for "outside the event loop" (also stamped on
+#: faults recorded outside it, :meth:`repro.network.faults.FaultLog.record`).
 NO_TIME = -1
 
 ClockSource = Callable[[], int]
@@ -510,26 +510,3 @@ class RegistrySink:
 
     def on_event(self, event: TraceEvent) -> None:
         self.registry.counter(f"events.{event.name}").inc()
-
-
-def bridge_fault_log(log: "FaultLog", tracer: Tracer) -> None:
-    """Mirror every :class:`~repro.network.faults.FaultEvent` as a trace event.
-
-    Subscribes to the log keyed by the tracer's identity, so bridging the
-    same log to the same tracer twice (e.g. a fault plan shared between an
-    operator and a protocol sampler) records each fault once.
-    """
-    if not tracer.enabled:
-        return
-
-    def forward(event: "FaultEvent") -> None:
-        tracer.event(
-            EVENT_FAULT,
-            time=event.time,
-            kind=event.kind,
-            walker_id=event.walker_id,
-            node=event.node,
-            detail=event.detail,
-        )
-
-    log.subscribe(forward, key=f"obs-tracer-{id(tracer)}")

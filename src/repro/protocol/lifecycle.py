@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import SamplingError
-from repro.network.faults import FaultLog
 from repro.obs.schema import (
     EVENT_CTX_FORWARD,
     EVENT_HOP,
@@ -244,7 +243,6 @@ class WalkLifecycle:
         self,
         transport: Transport,
         tracer: Tracer,
-        fault_log: FaultLog,
         clock: SimulationClock,
         routing: "RoutingPolicy",
         retry: RetryPolicy | None = None,
@@ -256,7 +254,7 @@ class WalkLifecycle:
         #: measurable at that call rate
         self._traced = tracer.enabled
         self._clock = clock
-        self.fault_log = fault_log
+        self.fault_log = transport.fault_log
         self._routing = routing
         self._retry = retry
         self.outcomes: dict[int, WalkOutcome] = {}

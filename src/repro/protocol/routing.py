@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from repro.network.faults import FaultLog
 from repro.network.graph import OverlayGraph
 from repro.network.health import HealthMonitor
 
@@ -95,12 +94,10 @@ class HealthAwareRouting:
         graph: OverlayGraph,
         monitor: HealthMonitor,
         rng: np.random.Generator,
-        fault_log: FaultLog,
     ) -> None:
         self._graph = graph
         self._monitor = monitor
         self._rng = rng
-        self._fault_log = fault_log
 
     def choose_first_hop(
         self, record: "WalkRecord", neighbors: list[int], now: int
@@ -109,7 +106,7 @@ class HealthAwareRouting:
             record.origin, neighbors, now
         )
         if not admitted:
-            self._fault_log.record(
+            self._monitor.fault_log.record(
                 now,
                 "breaker_suppressed",
                 walker_id=record.walker_id,

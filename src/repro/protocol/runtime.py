@@ -27,7 +27,7 @@ The overlay is *unreliable*: an optional :class:`FaultPlan` injects
 per-hop message loss, delivery-latency jitter, and (via
 :class:`~repro.network.faults.CrashProcess`, scheduled by the caller)
 mid-walk node crashes. The stack degrades instead of crashing — every
-failure becomes a recorded :class:`~repro.network.faults.FaultEvent`,
+failure is recorded on the :class:`~repro.network.faults.FaultLog`,
 walks are retried under the :class:`RetryPolicy`, and all messages land
 in a :class:`MessageLedger` with the same categories the abstract cost
 model uses, so costs stay directly comparable.
@@ -47,7 +47,7 @@ from repro.network.health import HealthConfig, HealthMonitor
 from repro.network.messaging import MessageLedger
 from repro.network.partitions import PartitionPlan
 from repro.obs.schema import SPAN_SHARED_WALK_BATCH
-from repro.obs.tracer import NULL_TRACER, Tracer, bridge_fault_log
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.protocol.advertisements import AdvertisementCache
 from repro.protocol.batching import WalkBatchPlan
 from repro.protocol.lifecycle import (
@@ -138,7 +138,7 @@ class ProtocolSampler:
         #: fault plan's log when one is injected, so crash/loss events and
         #: protocol-observed failures interleave in one timeline)
         self.fault_log: FaultLog = faults.log if faults is not None else FaultLog()
-        bridge_fault_log(self.fault_log, self._tracer)
+        self.fault_log.attach(self._tracer)
         self._transport = SimTransport(
             graph,
             simulation,
@@ -155,14 +155,13 @@ class ProtocolSampler:
             else None
         )
         routing: RoutingPolicy = (
-            HealthAwareRouting(graph, self.health, rng, self.fault_log)
+            HealthAwareRouting(graph, self.health, rng)
             if self.health is not None
             else UniformRouting(rng)
         )
         self._lifecycle = WalkLifecycle(
             transport=self._transport,
             tracer=self._tracer,
-            fault_log=self.fault_log,
             clock=simulation.clock,
             routing=routing,
             retry=retry,
@@ -185,7 +184,6 @@ class ProtocolSampler:
             lifecycle=self._lifecycle,
             routing=routing,
             ledger=self.ledger,
-            fault_log=self.fault_log,
             advertisements=self._ads,
         )
         self._lifecycle.bind(self._executor.inject)

@@ -15,8 +15,8 @@ over a real event loop; :class:`SimTransport` implements them over the
 :class:`~repro.sim.engine.SimulationEngine` so simulated runs stay
 deterministic and seed-exact.
 
-Every undeliverable message becomes a recorded
-:class:`~repro.network.faults.FaultEvent` — never an exception — because
+Every undeliverable message is recorded on the transport's
+:class:`~repro.network.faults.FaultLog` — never raised — because
 delivery failures are *data* in an unreliable overlay, not errors:
 
 * ``partition_drop`` — the edge crosses an open partition cut (or a
@@ -46,8 +46,11 @@ class Transport(Protocol):
 
     Implementations own the failure model; callers own the cost model
     (messages are tallied at the call site *before* ``send`` because a
-    lost message was still sent).
+    lost message was still sent). ``fault_log`` is the runtime's one
+    fault log; the layers above record their own failures on it too.
     """
+
+    fault_log: FaultLog
 
     @property
     def now(self) -> int:

@@ -17,8 +17,9 @@ piggyback on the walk.
 
 Handlers never let an exception escape a scheduled delivery — every
 failure (lost message, crashed receiver, broken return path, isolated
-node) becomes a recorded :class:`~repro.network.faults.FaultEvent` on
-the fault log (digest-analyzer DGL006 enforces this statically).
+node) is recorded on the transport's
+:class:`~repro.network.faults.FaultLog` (digest-analyzer DGL006 enforces
+this statically).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.network.faults import FaultLog
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.protocol.advertisements import AdvertisementCache
@@ -59,7 +59,6 @@ class WalkExecutor:
         lifecycle: WalkLifecycle,
         routing: RoutingPolicy,
         ledger: MessageLedger,
-        fault_log: FaultLog,
         advertisements: AdvertisementCache | None = None,
     ) -> None:
         self._graph = graph
@@ -72,7 +71,7 @@ class WalkExecutor:
         self._lifecycle = lifecycle
         self._routing = routing
         self._ledger = ledger
-        self._fault_log = fault_log
+        self._fault_log = transport.fault_log
         self._ads = advertisements
         self.bounces = 0
 

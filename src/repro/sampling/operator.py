@@ -43,7 +43,7 @@ from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.partitions import PartitionPlan
 from repro.obs.schema import SPAN_SAMPLE_ACQUISITION, SPAN_TUPLE_SAMPLING
-from repro.obs.tracer import NULL_TRACER, Tracer, bridge_fault_log
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sampling import mixing
 from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import WeightFunction, content_size_weights
@@ -204,7 +204,7 @@ class SamplingOperator:
         self._partitions = partitions
         self._tracer = tracer if tracer is not None else NULL_TRACER
         if faults is not None:
-            bridge_fault_log(faults.log, self._tracer)
+            faults.log.attach(self._tracer)
         self._spectral = _SpectralCache()
         self._pool_nodes: list[int] = []  # continued-walk positions (node ids)
         #: set only while :meth:`sample_tuples` runs, so that its redraw
@@ -446,7 +446,7 @@ class SamplingOperator:
             if self._faults is not None and self._faults.walk_lost(
                 steps + hops_home
             ):
-                self._faults.record(
+                self._faults.log.record(
                     self._tracer.now(), "walk_lost", node=node
                 )
                 continue
@@ -519,7 +519,7 @@ class SamplingOperator:
         if need > 0:
             if allow_partial:
                 if self._faults is not None:
-                    self._faults.record(
+                    self._faults.log.record(
                         self._tracer.now(),
                         "sample_shortfall",
                         detail=f"{len(samples)} of {n} after {max_retries} rounds",

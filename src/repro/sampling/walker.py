@@ -2,14 +2,11 @@
 
 A sampling agent starts at the originating node and is forwarded from node
 to node with the Metropolis probabilities until the walk has mixed; the
-node it then sits on is the sample (Section V). Two implementations share
-one immutable :class:`WalkContext` snapshot of the overlay:
-
-* :class:`MetropolisWalker` — a single agent, stepped one transition at a
-  time. Used by tests and by callers that need per-step introspection.
-* :func:`batch_walk` — many agents advanced in lock-step with vectorized
-  numpy operations. This is the paper's "batch mode" (Section VI-A): to
-  derive ``n`` samples, ``n`` walks run with overlapping convergence time.
+node it then sits on is the sample (Section V). Walks run over one
+immutable :class:`WalkContext` snapshot of the overlay, and
+:func:`batch_walk` advances many agents in lock-step with vectorized numpy
+operations. This is the paper's "batch mode" (Section VI-A): to derive
+``n`` samples, ``n`` walks run with overlapping convergence time.
 
 Cost model: every *proposal* costs one message (the agent, carrying the
 weight probe, crosses one overlay link; a rejected proposal still crossed
@@ -164,65 +161,6 @@ class WalkContext:
     def target_distribution(self) -> np.ndarray:
         """The normalized stationary law ``p_v`` over compact indices."""
         return self.weights / self.weights.sum()
-
-
-class MetropolisWalker:
-    """A single Metropolis sampling agent over a :class:`WalkContext`."""
-
-    def __init__(
-        self,
-        context: WalkContext,
-        start_node: int,
-        rng: np.random.Generator,
-        ledger: MessageLedger | None = None,
-        laziness: float = 0.5,
-    ) -> None:
-        if not 0.0 <= laziness < 1.0:
-            raise SamplingError(f"laziness must be in [0, 1), got {laziness}")
-        self._context = context
-        self._rng = rng
-        self._ledger = ledger
-        self._laziness = laziness
-        self._position = context.compact_index(start_node)
-        self.steps_taken = 0
-        self.proposals_sent = 0
-
-    @property
-    def position(self) -> int:
-        """Current node id the agent sits on."""
-        return int(self._context.node_ids[self._position])
-
-    def step(self) -> int:
-        """One chain transition; returns the (possibly unchanged) node id."""
-        context = self._context
-        self.steps_taken += 1
-        if self._laziness > 0.0 and self._rng.random() < self._laziness:
-            return self.position
-        i = self._position
-        degree_i = int(context.degrees[i])
-        offset = int(context.offsets[i])
-        j = int(context.targets[offset + int(self._rng.integers(degree_i))])
-        self.proposals_sent += 1
-        if self._ledger is not None:
-            self._ledger.record_walk_steps(1)
-        weight_i = context.weights[i]
-        weight_j = context.weights[j]
-        degree_j = int(context.degrees[j])
-        if weight_i == 0.0:
-            accept = 1.0
-        else:
-            accept = min(1.0, (weight_j * degree_i) / (weight_i * degree_j))
-        if self._rng.random() < accept:
-            self._position = j
-        return self.position
-
-    def walk(self, steps: int) -> int:
-        """Advance ``steps`` transitions; returns the final node id."""
-        if steps < 0:
-            raise SamplingError(f"steps must be >= 0, got {steps}")
-        for _ in range(steps):
-            self.step()
-        return self.position
 
 
 def batch_walk(

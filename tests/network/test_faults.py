@@ -1,16 +1,17 @@
 """Tests for the fault model (network/faults.py)."""
 
-import numpy as np
 import pytest
 
-from repro.network.faults import (
-    CrashProcess,
-    FaultConfig,
-    FaultLog,
-    FaultPlan,
-)
+from repro.network.faults import CrashProcess, FaultConfig, FaultLog, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.topology import mesh_topology, ring_topology
+from repro.obs.schema import EVENT_FAULT
+from repro.obs.tracer import RecordingTracer
+
+
+def _faults(tracer: RecordingTracer) -> list:
+    """The loose ``fault`` events an attached tracer received."""
+    return [e for e in tracer.trace().events if e.name == EVENT_FAULT]
 
 
 class TestFaultConfig:
@@ -35,15 +36,17 @@ class TestFaultConfig:
 class TestFaultLog:
     def test_records_counts_and_summary(self):
         log = FaultLog()
+        tracer = RecordingTracer()
+        log.attach(tracer)
         assert log.summary() == "no faults recorded"
         log.record(3, "message_loss", walker_id=1, node=2)
         log.record(5, "message_loss")
         log.record(7, "node_crash", node=9, detail="x")
-        assert len(log) == 3
         assert log.count("message_loss") == 2
+        assert log.count("never_recorded") == 0
         assert log.counts() == {"message_loss": 2, "node_crash": 1}
         assert log.summary() == "message_loss=2, node_crash=1"
-        assert [e.time for e in log.events] == [3, 5, 7]
+        assert [e.time for e in _faults(tracer)] == [3, 5, 7]
 
     def test_counts_kinds_in_sorted_order(self):
         log = FaultLog()
@@ -56,21 +59,20 @@ class TestFaultLog:
         assert list(log.counts())[0] == "message_loss"
 
     def test_subscribe_keyed_replacement_and_unsubscribe(self):
+        # one log forwards to at most one tracer: the same tracer again
+        # is a no-op, a second distinct one is refused
         log = FaultLog()
-        seen_a: list[str] = []
-        seen_b: list[str] = []
-        log.subscribe(lambda e: seen_a.append(e.kind), key="obs")
+        tracer = RecordingTracer()
+        log.attach(tracer)
+        log.attach(tracer)
         log.record(0, "first")
-        # same key replaces, never duplicates
-        log.subscribe(lambda e: seen_b.append(e.kind), key="obs")
+        assert [e.attrs["kind"] for e in _faults(tracer)] == ["first"]
+        other = RecordingTracer()
+        with pytest.raises(ValueError, match="already forwards"):
+            log.attach(other)
         log.record(1, "second")
-        assert seen_a == ["first"]
-        assert seen_b == ["second"]
-        assert log.unsubscribe("obs") is True
-        assert log.unsubscribe("obs") is False
-        log.record(2, "third")
-        assert seen_b == ["second"]
-        assert log.unsubscribe("never-registered") is False
+        assert [e.attrs["kind"] for e in _faults(tracer)] == ["first", "second"]
+        assert _faults(other) == []
 
 
 class TestFaultPlan:
@@ -140,12 +142,14 @@ class TestCrashProcess:
     def test_crashes_are_recorded_on_the_log(self):
         graph = self._world()
         plan = FaultPlan(FaultConfig(crash_probability=0.5), rng=2)
+        tracer = RecordingTracer()
+        plan.log.attach(tracer)
         crash = CrashProcess(graph, plan)
         crashed = crash.step(time=42)
         assert plan.log.count("node_crash") == len(crashed)
-        assert all(
-            e.time == 42 for e in plan.log.events if e.kind == "node_crash"
-        )
+        crashes = [e for e in _faults(tracer) if e.attrs["kind"] == "node_crash"]
+        assert [e.attrs["node"] for e in crashes] == crashed
+        assert all(e.time == 42 for e in crashes)
 
     def test_crash_rewire_keeps_graph_connected(self):
         graph = self._world(25)

@@ -141,7 +141,9 @@ class TestEngineLifecycle:
         assert events[0].time == 10
         assert events[0].attrs["rule"] == "walk-failures"
         assert events[0].attrs["value"] == 1.0
-        assert engine.fault_log.counts() == {FIRING: 1}
+        assert [(t.time, t.rule, t.state) for t in engine.transitions] == [
+            (10, "walk-failures", FIRING)
+        ]
 
 
 class TestRulesFile:

@@ -276,31 +276,41 @@ class TestRegistrySink:
 
 
 class TestBridgeFaultLog:
-    def test_forwards_faults_as_loose_events(self):
-        from repro.obs.tracer import bridge_fault_log
+    """``FaultLog.attach``: the log's one path into the trace."""
 
+    def test_forwards_faults_as_loose_events(self):
         log = FaultLog()
         tracer = RecordingTracer()
-        bridge_fault_log(log, tracer)
+        log.attach(tracer)
         log.record(5, "message_loss", walker_id=3, node=1, detail="hop")
         events = tracer.trace().events
         assert [e.name for e in events] == ["fault"]
         assert events[0].time == 5
-        assert events[0].attrs["kind"] == "message_loss"
+        assert events[0].attrs == {
+            "kind": "message_loss",
+            "walker_id": 3,
+            "node": 1,
+            "detail": "hop",
+        }
+        # keyword order is the exported attribute order (goldens pin it)
+        assert list(events[0].attrs) == ["kind", "walker_id", "node", "detail"]
 
     def test_double_bridge_records_each_fault_once(self):
-        from repro.obs.tracer import bridge_fault_log
-
         log = FaultLog()
         tracer = RecordingTracer()
-        bridge_fault_log(log, tracer)
-        bridge_fault_log(log, tracer)
+        log.attach(tracer)
+        log.attach(tracer)
         log.record(1, "node_crash")
         assert len(tracer.trace().events) == 1
+        assert log.count("node_crash") == 1
 
     def test_null_tracer_subscribes_nothing(self):
-        from repro.obs.tracer import bridge_fault_log
-
         log = FaultLog()
-        bridge_fault_log(log, NULL_TRACER)
+        log.attach(NULL_TRACER)
         log.record(1, "node_crash")  # must not call into the tracer
+        assert log.counts() == {"node_crash": 1}
+        # a disabled tracer never occupies the slot: a real one still fits
+        tracer = RecordingTracer()
+        log.attach(tracer)
+        log.record(2, "node_crash")
+        assert [e.time for e in tracer.trace().events] == [2]

@@ -149,7 +149,7 @@ class TestRetryExhaustion:
     """Every attempt of a doomed walk is paid for and accounted; the
     caller gets an honest degraded result, never an exception."""
 
-    def _doomed_sampler(self, mesh, n_retries=3):
+    def _doomed_sampler(self, mesh, n_retries=3, tracer=None):
         # laziness=0 so every attempt sends exactly one (lost) message:
         # the attempt accounting below is exact, not probabilistic
         simulation = SimulationEngine()
@@ -164,11 +164,15 @@ class TestRetryExhaustion:
             ProtocolConfig(variant="bounce", laziness=0.0),
             faults=plan,
             retry=RetryPolicy(timeout=30, max_retries=n_retries),
+            tracer=tracer,
         )
         return sampler, plan, ledger
 
     def test_all_attempts_lost_never_raises(self, mesh):
-        sampler, plan, _ = self._doomed_sampler(mesh)
+        from repro.obs.tracer import RecordingTracer
+
+        tracer = RecordingTracer()
+        sampler, plan, _ = self._doomed_sampler(mesh, tracer=tracer)
         sampled = sampler.run_walks(
             origin=0, n=4, walk_length=5, allow_partial=True
         )
@@ -180,9 +184,12 @@ class TestRetryExhaustion:
         assert stats.attempts == stats.timeouts == 4 * 4
         assert plan.log.count("walk_failed") == 4
         failures = [
-            event for event in plan.log.events if event.kind == "walk_failed"
+            event
+            for event in tracer.trace().events
+            if event.name == "fault" and event.attrs["kind"] == "walk_failed"
         ]
-        assert all(e.detail == "retries_exhausted" for e in failures)
+        assert len(failures) == 4
+        assert all(e.attrs["detail"] == "retries_exhausted" for e in failures)
 
     def test_every_attempt_lands_in_the_ledger(self, mesh):
         """First attempts bill as walk traffic, every retry attempt bills
@@ -248,7 +255,7 @@ class TestCrashSurvival:
             for node in (3, 7):
                 if node in graph and len(graph) > 4:
                     graph.leave(node, rewire=True)
-                    plan.record(time, "node_crash", node=node)
+                    plan.log.record(time, "node_crash", node=node)
 
         simulation.schedule_in(30, crash_some, priority=PRIORITY_CHURN)
         sampled = sampler.run_walks(origin=0, n=20, walk_length=30)

@@ -84,12 +84,10 @@ def _lifecycle(retry):
     """A real lifecycle over a reliable 4-node transport."""
     graph = OverlayGraph(mesh_topology(4), n_nodes=4)
     engine = SimulationEngine()
-    fault_log = FaultLog()
-    transport = SimTransport(graph, engine, 1, fault_log)
+    transport = SimTransport(graph, engine, 1, FaultLog())
     lifecycle = WalkLifecycle(
         transport,
         NULL_TRACER,
-        fault_log,
         engine.clock,
         UniformRouting(np.random.default_rng(0)),
         retry=retry,

@@ -21,6 +21,7 @@ from repro.network.partitions import (
     PartitionSchedule,
 )
 from repro.network.topology import mesh_topology
+from repro.obs.tracer import RecordingTracer
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import uniform_weights
 from repro.sim.engine import PRIORITY_CHURN, SimulationEngine
@@ -116,7 +117,7 @@ class TestPartitionedDelivery:
 
 
 class TestBreakerRouting:
-    def _lossy_health_sampler(self, threshold=2, cooldown=1000):
+    def _lossy_health_sampler(self, threshold=2, cooldown=1000, tracer=None):
         """Total loss: every first hop dies, so breakers must trip."""
         graph = OverlayGraph(mesh_topology(16), n_nodes=16)
         simulation = SimulationEngine()
@@ -134,6 +135,7 @@ class TestBreakerRouting:
                 cooldown=cooldown,
                 detect_fraction=0.5,
             ),
+            tracer=tracer,
         )
         return sampler, graph
 
@@ -150,16 +152,18 @@ class TestBreakerRouting:
     def test_all_breakers_open_fast_fails_retries(self):
         """Once every link is suppressed, a relaunched attempt fails at
         the origin without sending anything or burning its timeout."""
-        sampler, _ = self._lossy_health_sampler()
+        tracer = RecordingTracer()
+        sampler, _ = self._lossy_health_sampler(tracer=tracer)
         sampler.run_walks(origin=0, n=12, walk_length=5, allow_partial=True)
         counts = sampler.fault_log.counts()
         assert counts["breaker_suppressed"] > 0
         exhausted = [
             event
-            for event in sampler.fault_log.events
-            if event.kind == "walk_failed"
+            for event in tracer.trace().events
+            if event.name == "fault" and event.attrs["kind"] == "walk_failed"
         ]
-        assert any(e.detail == "all_breakers_open" for e in exhausted)
+        assert len(exhausted) == counts["walk_failed"]
+        assert any(e.attrs["detail"] == "all_breakers_open" for e in exhausted)
         # fast-failed attempts sent no messages: first attempts all paid
         # one hop each, suppressed relaunches paid nothing
         stats = sampler.walk_stats

@@ -9,8 +9,10 @@ from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, power_law_topology, ring_topology
 from repro.sampling.metropolis import stationary_distribution
 from repro.sampling.mixing import total_variation
-from repro.sampling.walker import MetropolisWalker, WalkContext, batch_walk
+from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import table_weights, uniform_weights
+
+from .metropolis_walker import MetropolisWalker
 
 
 @pytest.fixture

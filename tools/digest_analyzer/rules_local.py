@@ -443,15 +443,15 @@ class HandlerRaises(Rule):
     name = "handler-raises"
     summary = (
         "protocol/ delivery handlers (_handle*/_deliver*/_receive*/_on_*) "
-        "and nested closures must not raise; convert failures to recorded "
-        "FaultEvents"
+        "and nested closures must not raise; record failures on the fault "
+        "log"
     )
     rationale = (
         "A handler runs as a scheduled delivery inside the event loop; an "
         "exception escaping it aborts the whole simulation on the first "
         "lost message or crashed receiver, which is exactly the behavior "
-        "the failure model forbids. The degradation contract is: record a "
-        "FaultEvent on the fault log, drop the message, and let the "
+        "the failure model forbids. The degradation contract is: record the "
+        "fault on the fault log, drop the message, and let the "
         "origin-side supervisor recover the walk. Validation raises belong "
         "at the caller-facing API (start_walk, run_walks, __init__), never "
         "inside a delivery. Nested defs are treated as delivery closures "
@@ -483,7 +483,7 @@ class HandlerRaises(Rule):
                             raise_node,
                             f"raise inside {kind}; an exception escaping a "
                             "scheduled delivery aborts the simulation -- "
-                            "record a FaultEvent on the fault log and drop "
+                            "record the fault on the fault log and drop "
                             "the message instead",
                         )
                 yield from self._scan(child, path, nested=True)
