@@ -78,29 +78,41 @@ def _run_workload(
     return sampled, time.perf_counter() - start
 
 
+def _spread(times: list[float]) -> dict[str, float]:
+    """Five-number summary of one side's repeat timings."""
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {
+        "min": min(times),
+        "q1": q1,
+        "median": median,
+        "q3": q3,
+        "max": max(times),
+    }
+
+
 def measure(
     seed: int = 0,
     n_nodes: int = 64,
     n_walks: int = 150,
     walk_length: int = 25,
-    repeats: int = 5,
+    repeats: int = 21,
 ) -> dict[str, object]:
-    """Median-of-repeats comparison; clean and instrumented interleaved."""
-    clean_times: list[float] = []
-    instrumented_times: list[float] = []
-    clean_samples: list[int] = []
-    instrumented_samples: list[int] = []
-    for _ in range(repeats):
-        clean_samples, elapsed = _run_workload(
-            False, seed, n_nodes, n_walks, walk_length
-        )
-        clean_times.append(elapsed)
-        instrumented_samples, elapsed = _run_workload(
-            True, seed, n_nodes, n_walks, walk_length
-        )
-        instrumented_times.append(elapsed)
-    clean = statistics.median(clean_times)
-    instrumented = statistics.median(instrumented_times)
+    """Median-of-repeats comparison; clean and instrumented interleaved.
+
+    Each repeat runs both sides back to back and alternates which goes
+    first, so neither side always pays the warm-up of the pair.
+    """
+    times: dict[bool, list[float]] = {False: [], True: []}
+    samples: dict[bool, list[int]] = {False: [], True: []}
+    for repeat in range(repeats):
+        first = repeat % 2 == 1
+        for instrumented in (first, not first):
+            samples[instrumented], elapsed = _run_workload(
+                instrumented, seed, n_nodes, n_walks, walk_length
+            )
+            times[instrumented].append(elapsed)
+    clean = statistics.median(times[False])
+    instrumented = statistics.median(times[True])
     return {
         "workload": {
             "n_nodes": n_nodes,
@@ -111,9 +123,11 @@ def measure(
         },
         "clean_seconds": clean,
         "instrumented_seconds": instrumented,
+        "clean_spread": _spread(times[False]),
+        "instrumented_spread": _spread(times[True]),
         "overhead": (instrumented - clean) / clean,
         "overhead_budget": OVERHEAD_BUDGET,
-        "samples_identical": clean_samples == instrumented_samples,
+        "samples_identical": samples[False] == samples[True],
     }
 
 
@@ -133,7 +147,7 @@ def test_fault_machinery_overhead(results_dir):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument(
         "--json-out",
         default=str(Path(__file__).parent / "results" / "fault_overhead.json"),

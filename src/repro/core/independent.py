@@ -11,14 +11,13 @@ extra samples are drawn until the drawn count covers the requirement
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.core.estimators import (
-    achieved_confidence,
-    achieved_epsilon,
     ratio_estimate,
     required_sample_size,
     sample_mean_and_variance,
@@ -26,12 +25,7 @@ from repro.core.estimators import (
 )
 from repro.core.query import Query
 from repro.core.snapshot import SnapshotEstimate
-from repro.db.aggregates import (
-    AggregateOp,
-    mean_error_budget,
-    sample_contribution,
-    scale_factor,
-)
+from repro.db.aggregates import AggregateOp, mean_error_budget, sample_contribution
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.sampling.operator import SampleSource
@@ -57,6 +51,74 @@ class EvaluatorConfig:
             raise QueryError(f"pilot_size must be >= 2, got {self.pilot_size}")
         if self.max_rounds < 1:
             raise QueryError(f"max_rounds must be >= 1, got {self.max_rounds}")
+
+
+def draw_contributions(
+    source: SampleSource,
+    database: P2PDatabase,
+    origin: int,
+    query: Query,
+    n: int,
+) -> tuple[list[int], list[float], list[float]]:
+    """Draw up to ``n`` tuples; returns their ids, ``y`` values and indicators.
+
+    Partial mode: under the failure model the overlay may lose walks, so
+    fewer than ``n`` tuples can come back. The evaluators degrade
+    (flagging the estimate) rather than aborting the query.
+    """
+    if n <= 0:
+        return [], [], []
+    samples = source.sample_tuples(database, n, origin, allow_partial=True)
+    pairs = [
+        sample_contribution(query.op, query.expression, query.predicate, s.row)
+        for s in samples
+    ]
+    return (
+        [s.tuple_id for s in samples],
+        [pair[0] for pair in pairs],
+        [pair[1] for pair in pairs],
+    )
+
+
+def sequential_sample(
+    draw: Callable[[int], tuple[list[int], list[float]]],
+    config: EvaluatorConfig,
+    epsilon_mean: float,
+    confidence: float,
+) -> tuple[list[int], list[float], int]:
+    """Eq. 6 sequential sampling of one mean; returns ``(ids, values, needed)``.
+
+    A pilot of ``config.pilot_size`` draws estimates ``sigma``; Eq. 6 then
+    sizes ``needed``, and the shortfall is drawn again for at most
+    ``config.max_rounds`` rounds, stopping early when a draw comes back
+    empty. ``len(values) < needed`` means the overlay returned fewer
+    samples than Eq. 6 required: the estimate is degraded.
+    """
+    ids, values = draw(config.pilot_size)
+    if not values:
+        raise QueryError(
+            "the overlay returned no samples at all; cannot estimate"
+        )
+    needed = len(values)
+    if epsilon_mean == float("inf"):
+        return ids, values, needed
+    for _ in range(config.max_rounds):
+        _, variance = sample_mean_and_variance(np.array(values))
+        needed = required_sample_size(
+            max(math.sqrt(variance), config.sigma_floor),
+            epsilon_mean,
+            confidence,
+            minimum=config.pilot_size,
+            maximum=config.max_sample_size,
+        )
+        if needed <= len(values):
+            break
+        extra_ids, extra_values = draw(needed - len(values))
+        if not extra_values:
+            break  # the overlay is delivering nothing; degrade
+        ids.extend(extra_ids)
+        values.extend(extra_values)
+    return ids, values, needed
 
 
 class IndependentEvaluator:
@@ -125,23 +187,11 @@ class IndependentEvaluator:
         )
 
     def _sample_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw up to ``n`` samples; returns ``(y, indicator)`` arrays.
-
-        Partial mode: under the failure model the overlay may lose walks,
-        so fewer than ``n`` values can come back. The evaluator degrades
-        (flagging the estimate) rather than aborting the query.
-        """
-        samples = self._operator.sample_tuples(
-            self._database, n, self._origin, allow_partial=True
+        """Draw up to ``n`` samples; returns ``(y, indicator)`` arrays."""
+        _, values, indicators = draw_contributions(
+            self._operator, self._database, self._origin, self._query, n
         )
-        query = self._query
-        pairs = [
-            sample_contribution(query.op, query.expression, query.predicate, s.row)
-            for s in samples
-        ]
-        values = np.array([pair[0] for pair in pairs], dtype=float)
-        indicators = np.array([pair[1] for pair in pairs], dtype=float)
-        return values, indicators
+        return np.array(values, dtype=float), np.array(indicators, dtype=float)
 
     def evaluate(
         self, time: int, epsilon: float, confidence: float
@@ -154,8 +204,9 @@ class IndependentEvaluator:
         query has no predicate.
         """
         population = int(round(self._population_size_provider()))
-        epsilon_mean = mean_error_budget(self._query.op, epsilon, population)
-        if self._query.op is AggregateOp.AVG:
+        op = self._query.op
+        epsilon_mean = mean_error_budget(op, epsilon, population)
+        if op is AggregateOp.AVG:
             mean, variance, n, degraded = self._evaluate_ratio(
                 epsilon_mean, confidence
             )
@@ -163,27 +214,8 @@ class IndependentEvaluator:
             mean, variance, n, degraded = self._evaluate_mean(
                 epsilon_mean, confidence
             )
-        scale = scale_factor(self._query.op, population)
-        return SnapshotEstimate(
-            time=time,
-            mean=mean,
-            aggregate=mean * scale,
-            variance=variance,
-            n_total=n,
-            n_fresh=n,
-            n_retained=0,
-            population_size=population,
-            degraded=degraded,
-            achieved_epsilon=(
-                achieved_epsilon(variance, confidence) * scale
-                if degraded
-                else None
-            ),
-            achieved_confidence=(
-                achieved_confidence(epsilon_mean, variance)
-                if degraded and epsilon_mean != float("inf")
-                else None
-            ),
+        return SnapshotEstimate.stated(
+            time, op, mean, variance, n, 0, population, epsilon, confidence, degraded
         )
 
     def _evaluate_mean(
@@ -197,31 +229,15 @@ class IndependentEvaluator:
         unbiased; only its interval widens).
         """
         config = self._config
-        values = self._sample_values(config.pilot_size)[0]
-        if values.size == 0:
-            raise QueryError(
-                "the overlay returned no samples at all; cannot estimate"
-            )
-        needed = int(values.size)
-        for _ in range(config.max_rounds):
-            _, variance = sample_mean_and_variance(values)
-            sigma = max(float(np.sqrt(variance)), config.sigma_floor)
-            if epsilon_mean == float("inf"):
-                needed = int(values.size)
-                break
-            needed = required_sample_size(
-                sigma,
-                epsilon_mean,
-                confidence,
-                minimum=config.pilot_size,
-                maximum=config.max_sample_size,
-            )
-            if needed <= values.size:
-                break
-            extra = self._sample_values(needed - values.size)[0]
-            if extra.size == 0:
-                break  # the overlay is delivering nothing; degrade
-            values = np.concatenate([values, extra])
+        _, drawn, needed = sequential_sample(
+            lambda n: draw_contributions(
+                self._operator, self._database, self._origin, self._query, n
+            )[:2],
+            config,
+            epsilon_mean,
+            confidence,
+        )
+        values = np.array(drawn, dtype=float)
         mean, variance = sample_mean_and_variance(values)
         degraded = values.size < needed
         self._last_sigma = max(

@@ -44,22 +44,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.estimators import (
-    achieved_confidence,
-    achieved_epsilon,
-    sample_mean_and_variance,
-    variance_target,
-)
+from repro.core.estimators import sample_mean_and_variance, variance_target
 from repro.core.forward import RevisedEstimate, revise_previous
-from repro.core.independent import EvaluatorConfig
+from repro.core.independent import (
+    EvaluatorConfig,
+    draw_contributions,
+    sequential_sample,
+)
 from repro.core.query import Query
 from repro.core.snapshot import SnapshotEstimate
-from repro.db.aggregates import (
-    AggregateOp,
-    mean_error_budget,
-    sample_contribution,
-    scale_factor,
-)
+from repro.db.aggregates import AggregateOp, mean_error_budget, sample_contribution
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.sampling.operator import SampleSource
@@ -282,42 +276,57 @@ class RepeatedEvaluator:
     def plan_demand(self, epsilon: float, confidence: float) -> int:
         """Forecast the *fresh* samples the next evaluate() will draw.
 
-        Pure read: replays the allocation evaluate() will solve — the
-        cheapest ``(n, g)`` partition meeting the variance target given
-        the current sigma/rho state and the still-alive retainable pool —
-        and returns its fresh portion ``n - g`` (retained samples cost no
+        Pure read: solves the same allocation evaluate() draws
+        (:meth:`_allocate`, over the still-alive retainable pool) and
+        returns its fresh portion ``n - g`` (retained samples cost no
         walks). Infeasible targets fall back to the pilot size; the
         forecast only sizes prefetch batches, evaluate() still tops up.
         """
         config = self._config
         if not self._state.initialized:
             return config.pilot_size
-        state = self._state
         population = int(round(self._population_size_provider()))
         epsilon_mean = mean_error_budget(self._query.op, epsilon, population)
-        sigma2 = max(state.sigma2, config.sigma_floor**2)
-        rho_plan = state.rho if state.rho is not None else self._initial_rho
-        alive = sum(1 for tid in state.tuple_ids if tid in self._database)
-        if epsilon_mean == float("inf"):
-            return max(
-                0, config.pilot_size - min(alive, config.pilot_size // 2)
-            )
-        v_target = variance_target(epsilon_mean, confidence)
+        alive = sum(1 for tid in self._state.tuple_ids if tid in self._database)
         try:
+            n_needed, g_target, _ = self._allocate(alive, epsilon_mean, confidence)
+        except QueryError:
+            return config.pilot_size
+        return max(0, n_needed - g_target)
+
+    def _allocate(
+        self, n_alive: int, epsilon_mean: float, confidence: float
+    ) -> tuple[int, int, float]:
+        """The occasion's sample budget: ``(n, g_retained, variance_target)``.
+
+        The cheapest ``(n, g)`` partition meeting the variance target given
+        the current sigma/rho state and ``n_alive`` retainable samples; an
+        unbounded budget (``epsilon_mean = inf``) takes the pilot size.
+        Raises :class:`QueryError` when the target is infeasible.
+        """
+        state = self._state
+        config = self._config
+        if epsilon_mean == float("inf"):
+            v_target = float("inf")
+            n_needed, g_target = config.pilot_size, min(
+                n_alive, config.pilot_size // 2
+            )
+        else:
+            v_target = variance_target(epsilon_mean, confidence)
             n_needed, g_target = solve_allocation(
-                sigma2,
-                rho_plan,
+                max(state.sigma2, config.sigma_floor**2),
+                state.rho if state.rho is not None else self._initial_rho,
                 state.variance,
                 v_target,
-                retained_available=alive,
+                retained_available=n_alive,
                 min_n=config.pilot_size,
                 max_n=config.max_sample_size,
             )
-        except QueryError:
-            return config.pilot_size
         if state.rho is None:
-            g_target = min(alive, n_needed // 2)
-        return max(0, n_needed - g_target)
+            # correlation not yet measurable: retain half the set (variance-
+            # neutral when rho is actually 0, and it seeds the rho estimate)
+            g_target = min(n_alive, n_needed // 2)
+        return n_needed, g_target, v_target
 
     # ------------------------------------------------------------------
     # sampling helpers
@@ -332,13 +341,9 @@ class RepeatedEvaluator:
 
     def _draw_fresh(self, n: int) -> tuple[list[int], list[float]]:
         """Draw up to ``n`` fresh tuples (partial under the failure model)."""
-        if n <= 0:
-            return [], []
-        samples = self._operator.sample_tuples(
-            self._database, n, self._origin, allow_partial=True
+        ids, values, _ = draw_contributions(
+            self._operator, self._database, self._origin, self._query, n
         )
-        ids = [s.tuple_id for s in samples]
-        values = [self._value_of(s.row) for s in samples]
         return ids, values
 
     # ------------------------------------------------------------------
@@ -346,41 +351,17 @@ class RepeatedEvaluator:
     # ------------------------------------------------------------------
 
     def _bootstrap(
-        self, time: int, epsilon_mean: float, confidence: float, population: int
+        self, time: int, epsilon: float, confidence: float, population: int
     ) -> SnapshotEstimate:
         """First occasion: independent sequential sampling, state recorded."""
-        from repro.core.estimators import required_sample_size
-
-        config = self._config
-        ids, values = self._draw_fresh(config.pilot_size)
-        if not values:
-            raise QueryError(
-                "the overlay returned no samples at all; cannot estimate"
-            )
-        needed = len(values)
-        for _ in range(config.max_rounds):
-            _, variance = sample_mean_and_variance(np.array(values))
-            sigma = max(math.sqrt(variance), config.sigma_floor)
-            if epsilon_mean == float("inf"):
-                needed = len(values)
-                break
-            needed = required_sample_size(
-                sigma,
-                epsilon_mean,
-                confidence,
-                minimum=config.pilot_size,
-                maximum=config.max_sample_size,
-            )
-            if needed <= len(values):
-                break
-            extra_ids, extra_values = self._draw_fresh(needed - len(values))
-            if not extra_values:
-                break  # the overlay is delivering nothing; degrade
-            ids.extend(extra_ids)
-            values.extend(extra_values)
+        ids, values, needed = sequential_sample(
+            self._draw_fresh,
+            self._config,
+            mean_error_budget(self._query.op, epsilon, population),
+            confidence,
+        )
         mean, variance = sample_mean_and_variance(np.array(values))
         n = len(values)
-        degraded = n < needed
         self.last_revision = None
         self._state = _OccasionState(
             tuple_ids=ids,
@@ -390,27 +371,17 @@ class RepeatedEvaluator:
             sigma2=variance,
             rho=None,
         )
-        scale = scale_factor(self._query.op, population)
-        return SnapshotEstimate(
-            time=time,
-            mean=mean,
-            aggregate=mean * scale,
-            variance=variance / n,
-            n_total=n,
+        return SnapshotEstimate.stated(
+            time,
+            self._query.op,
+            mean,
+            variance / n,
             n_fresh=n,
             n_retained=0,
-            population_size=population,
-            degraded=degraded,
-            achieved_epsilon=(
-                achieved_epsilon(variance / n, confidence) * scale
-                if degraded
-                else None
-            ),
-            achieved_confidence=(
-                achieved_confidence(epsilon_mean, variance / n)
-                if degraded and epsilon_mean != float("inf")
-                else None
-            ),
+            population=population,
+            epsilon=epsilon,
+            confidence=confidence,
+            degraded=n < needed,
         )
 
     def evaluate(
@@ -418,41 +389,21 @@ class RepeatedEvaluator:
     ) -> SnapshotEstimate:
         """Evaluate the snapshot query at ``time`` to ``(epsilon, p)``."""
         population = int(round(self._population_size_provider()))
-        epsilon_mean = mean_error_budget(self._query.op, epsilon, population)
         if not self._state.initialized:
-            return self._bootstrap(time, epsilon_mean, confidence, population)
+            return self._bootstrap(time, epsilon, confidence, population)
 
         state = self._state
         config = self._config
-        sigma2 = max(state.sigma2, config.sigma_floor**2)
-        rho_plan = state.rho if state.rho is not None else self._initial_rho
-
+        epsilon_mean = mean_error_budget(self._query.op, epsilon, population)
         # which previous samples are still retainable?
         alive = [
             (tid, value)
             for tid, value in zip(state.tuple_ids, state.values)
             if tid in self._database
         ]
-        if epsilon_mean == float("inf"):
-            v_target = float("inf")
-            n_needed, g_target = config.pilot_size, min(
-                len(alive), config.pilot_size // 2
-            )
-        else:
-            v_target = variance_target(epsilon_mean, confidence)
-            n_needed, g_target = solve_allocation(
-                sigma2,
-                rho_plan,
-                state.variance,
-                v_target,
-                retained_available=len(alive),
-                min_n=config.pilot_size,
-                max_n=config.max_sample_size,
-            )
-        if state.rho is None:
-            # correlation not yet measurable: retain half the set (variance-
-            # neutral when rho is actually 0, and it seeds the rho estimate)
-            g_target = min(len(alive), n_needed // 2)
+        n_needed, g_target, v_target = self._allocate(
+            len(alive), epsilon_mean, confidence
+        )
 
         # retain a random subset of the alive previous samples
         if g_target > 0:
@@ -521,8 +472,6 @@ class RepeatedEvaluator:
         else:
             self.last_revision = None
 
-        g = len(matched_ids)
-        f = len(fresh_ids)
         self._state = _OccasionState(
             tuple_ids=matched_ids + fresh_ids,
             values=matched_curr.tolist() + fresh_values_list,
@@ -534,27 +483,17 @@ class RepeatedEvaluator:
         degraded = v_target != float("inf") and variance > v_target * (
             1.0 + 1e-9
         )
-        scale = scale_factor(self._query.op, population)
-        return SnapshotEstimate(
-            time=time,
-            mean=estimate,
-            aggregate=estimate * scale,
-            variance=variance,
-            n_total=g + f,
-            n_fresh=f,
-            n_retained=g,
-            population_size=population,
+        return SnapshotEstimate.stated(
+            time,
+            self._query.op,
+            estimate,
+            variance,
+            n_fresh=len(fresh_ids),
+            n_retained=len(matched_ids),
+            population=population,
+            epsilon=epsilon,
+            confidence=confidence,
             degraded=degraded,
-            achieved_epsilon=(
-                achieved_epsilon(variance, confidence) * scale
-                if degraded
-                else None
-            ),
-            achieved_confidence=(
-                achieved_confidence(epsilon_mean, variance)
-                if degraded and epsilon_mean != float("inf")
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------

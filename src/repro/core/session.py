@@ -32,12 +32,12 @@ cold pool passes single-query requests straight through to the operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.independent import EvaluatorConfig, IndependentEvaluator
+from repro.core.independent import IndependentEvaluator
 from repro.core.query import ContinuousQuery
 from repro.core.repeated import RepeatedEvaluator
 from repro.core.result import NotificationFilter, RunningResult, UpdateRecord
@@ -48,9 +48,7 @@ from repro.core.scheduler import (
     WalkDemand,
     coalesce_demands,
 )
-from repro.core.estimators import achieved_confidence, achieved_epsilon
 from repro.core.snapshot import SnapshotEstimate
-from repro.db.aggregates import mean_error_budget, scale_factor
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.network.faults import FaultPlan
@@ -63,7 +61,7 @@ from repro.obs.live import META_FINISHED_AT, LivePipeline, WindowConfig
 from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SNAPSHOT_QUERY, SPAN_WALK
 from repro.obs.tracer import RunMetricsSink, SinkTracer, Span, TraceEvent
 from repro.sampling.operator import SamplerConfig
-from repro.sampling.pool import PoolConfig, PoolLease, SamplePool
+from repro.sampling.pool import PoolLease, SamplePool
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
 from repro.sim.metrics import RunMetrics
 
@@ -92,7 +90,6 @@ class EngineConfig:
     safety_factor: float = 1.0
     oracle_population: bool = True
     forward_revision: bool = False
-    evaluator_config: EvaluatorConfig | None = None
 
     def __post_init__(self) -> None:
         if self.scheduler not in ("all", "pred"):
@@ -226,9 +223,8 @@ class DigestSession:
     """Many continuous queries answered at one querying node.
 
     Parameters mirror the historical single-query engine where they
-    overlap; ``pool_config`` tunes sample-reuse freshness
-    (:class:`~repro.sampling.pool.PoolConfig`) and ``faults`` injects the
-    PR 2 failure model into the shared operator.
+    overlap; ``faults`` injects the walk-loss failure model into the
+    shared operator.
     """
 
     def __init__(
@@ -239,7 +235,6 @@ class DigestSession:
         rng: np.random.Generator,
         ledger: MessageLedger | None = None,
         sampler_config: SamplerConfig | None = None,
-        pool_config: PoolConfig | None = None,
         faults: FaultPlan | None = None,
         tracer: SinkTracer | None = None,
         partitions: PartitionPlan | None = None,
@@ -275,7 +270,6 @@ class DigestSession:
             sampler_config,
             faults=faults,
             tracer=self.tracer,
-            config=pool_config,
             partitions=partitions,
         )
         self._runtimes: dict[str, QueryRuntime] = {}
@@ -354,7 +348,6 @@ class DigestSession:
                 self._origin,
                 continuous_query.query,
                 population_size_provider=population_provider,
-                config=resolved.evaluator_config,
             )
         else:
             evaluator = RepeatedEvaluator(
@@ -364,7 +357,6 @@ class DigestSession:
                 continuous_query.query,
                 self._rng,
                 population_size_provider=population_provider,
-                config=resolved.evaluator_config,
             )
 
         scheduler: SnapshotScheduler
@@ -616,26 +608,17 @@ class DigestSession:
             sizes.get(node, 0) for node in scope if node in sizes
         )
         precision = runtime.continuous_query.precision
-        op = runtime.continuous_query.query.op
-        new_scale = scale_factor(op, reachable_population)
-        aggregate = estimate.mean * new_scale
-        ach_eps = achieved_epsilon(estimate.variance, precision.confidence)
-        ach_eps *= new_scale
-        epsilon_mean = mean_error_budget(
-            op, precision.epsilon, reachable_population
-        )
-        ach_conf = (
-            achieved_confidence(epsilon_mean, estimate.variance)
-            if epsilon_mean != float("inf")
-            else None
-        )
-        return replace(
-            estimate,
-            aggregate=aggregate,
-            population_size=reachable_population,
+        return SnapshotEstimate.stated(
+            estimate.time,
+            runtime.continuous_query.query.op,
+            estimate.mean,
+            estimate.variance,
+            estimate.n_fresh,
+            estimate.n_retained,
+            reachable_population,
+            precision.epsilon,
+            precision.confidence,
             degraded=True,
-            achieved_epsilon=ach_eps,
-            achieved_confidence=ach_conf,
             reachable_fraction=fraction,
         )
 

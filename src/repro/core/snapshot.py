@@ -11,7 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.estimators import confidence_quantile
+from repro.core.estimators import (
+    achieved_confidence,
+    achieved_epsilon,
+    confidence_quantile,
+)
+from repro.db.aggregates import AggregateOp, mean_error_budget, scale_factor
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,54 @@ class SnapshotEstimate:
     achieved_epsilon: float | None = None
     achieved_confidence: float | None = None
     reachable_fraction: float = 1.0
+
+    @classmethod
+    def stated(
+        cls,
+        time: int,
+        op: AggregateOp,
+        mean: float,
+        variance: float,
+        n_fresh: int,
+        n_retained: int,
+        population: int,
+        epsilon: float,
+        confidence: float,
+        degraded: bool,
+        reachable_fraction: float = 1.0,
+    ) -> SnapshotEstimate:
+        """The estimate of ``mean`` over ``population``, precision stated.
+
+        The one place the Eq. 5 re-statement is made: the aggregate is
+        ``mean`` scaled to ``population``, and a degraded estimate carries
+        the half-width it attained at the promised ``confidence`` and the
+        confidence it attained at the promised aggregate ``epsilon``
+        (restated as a mean-level budget for ``population``).
+        """
+        scale = scale_factor(op, population)
+        epsilon_mean = mean_error_budget(op, epsilon, population)
+        return cls(
+            time=time,
+            mean=mean,
+            aggregate=mean * scale,
+            variance=variance,
+            n_total=n_fresh + n_retained,
+            n_fresh=n_fresh,
+            n_retained=n_retained,
+            population_size=population,
+            degraded=degraded,
+            achieved_epsilon=(
+                achieved_epsilon(variance, confidence) * scale
+                if degraded
+                else None
+            ),
+            achieved_confidence=(
+                achieved_confidence(epsilon_mean, variance)
+                if degraded and epsilon_mean != float("inf")
+                else None
+            ),
+            reachable_fraction=reachable_fraction,
+        )
 
     def half_width(self, confidence: float) -> float:
         """Achieved confidence-interval half width for the *mean* estimate."""

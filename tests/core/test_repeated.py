@@ -1,5 +1,6 @@
 """Tests for repeated sampling (Section IV-B2, Table 1, Eq. 7-11)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +17,13 @@ from repro.core.repeated import (
     optimal_partition,
     solve_allocation,
 )
+from repro.core.snapshot import SnapshotEstimate
 from repro.db.aggregates import AggregateOp
 from repro.db.expression import Expression
+from repro.db.predicate import Predicate
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import QueryError
+from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.topology import mesh_topology
 from repro.sampling.operator import SamplerConfig, SamplingOperator
@@ -415,3 +419,89 @@ class TestPlanDemand:
         drawn_before = repeated._operator.samples_drawn
         repeated.plan_demand(1.5, 0.95)
         assert repeated._operator.samples_drawn == drawn_before
+
+
+def _lossy_pair(graph, database, query, loss, seed=1):
+    """An INDEP and an RPT evaluator over identically seeded lossy sources."""
+
+    def operator():
+        return SamplingOperator(
+            graph,
+            np.random.default_rng(seed),
+            config=SamplerConfig(walk_length=40),
+            faults=FaultPlan(FaultConfig(message_loss=loss), rng=seed + 50),
+        )
+
+    independent = IndependentEvaluator(database, operator(), 0, query)
+    repeated = RepeatedEvaluator(
+        database, operator(), 0, query, np.random.default_rng(seed + 1)
+    )
+    return independent, repeated
+
+
+class TestFirstOccasionIsIndependentSampling:
+    """RPT's first occasion is INDEP's Eq. 6 loop and Eq. 5 restatement."""
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    @pytest.mark.parametrize(
+        "query, epsilon",
+        [
+            (Query(AggregateOp.SUM, Expression("v")), 432.0),
+            (Query(AggregateOp.COUNT, Expression("v"), Predicate("v > 50")), 21.6),
+        ],
+        ids=["sum", "count"],
+    )
+    def test_first_estimate_equals_independent(self, query, epsilon, loss):
+        graph, database, _, _ = _correlated_world()
+        independent, repeated = _lossy_pair(graph, database, query, loss)
+        indep = independent.evaluate(0, epsilon=epsilon, confidence=0.95)
+        rpt = repeated.evaluate(0, epsilon=epsilon, confidence=0.95)
+        for field in dataclasses.fields(SnapshotEstimate):
+            assert getattr(rpt, field.name) == getattr(indep, field.name), field.name
+        # the lossy source under-delivers Eq. 6's size: the degraded
+        # restatement must agree as well
+        assert indep.degraded == (loss > 0.0)
+        if indep.degraded:
+            assert indep.achieved_epsilon is not None
+            assert indep.achieved_confidence is not None
+
+
+class _RecordingSource:
+    """A sample source that records the size of every tuple request."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.requests = []
+
+    def sample_tuples(self, database, n, origin, **kwargs):
+        self.requests.append(n)
+        return self._inner.sample_tuples(database, n, origin, **kwargs)
+
+    def sample_nodes(self, weight, n, origin):
+        return self._inner.sample_nodes(weight, n, origin)
+
+
+class TestForecastMatchesFirstFreshRequest:
+    def test_plan_demand_equals_first_fresh_draw(self):
+        """plan_demand is evaluate's allocation: the forecast is exactly
+        the size of the first fresh request, with rho unmeasured (the
+        occasion after bootstrap) and with rho measured (later ones)."""
+        graph, database, tids, rng = _correlated_world()
+        source = _RecordingSource(
+            SamplingOperator(graph, np.random.default_rng(1), config=SamplerConfig())
+        )
+        query = Query(AggregateOp.AVG, Expression("v"))
+        repeated = RepeatedEvaluator(
+            database, source, 0, query, np.random.default_rng(2)
+        )
+        repeated.evaluate(0, epsilon=1.0, confidence=0.95)
+        rho_states = []
+        for time in range(1, 5):
+            _evolve(database, tids, rng)
+            rho_states.append(repeated.current_rho is not None)
+            forecast = repeated.plan_demand(1.0, 0.95)
+            source.requests.clear()
+            repeated.evaluate(time, epsilon=1.0, confidence=0.95)
+            # a forecast of 0 means an all-retained occasion: no request
+            assert source.requests[:1] == ([forecast] if forecast else [])
+        assert rho_states[0] is False and rho_states[-1] is True
